@@ -13,6 +13,7 @@ from .braid import (
 )
 from .exactnum import (
     Cyclotomic,
+    DenominatorFamilyError,
     LaurentU,
     OrderMismatchError,
     PolyUZ,

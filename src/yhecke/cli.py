@@ -24,6 +24,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .adelic import (
@@ -56,6 +57,7 @@ from .esystem import (
 )
 from .exactnum import (
     Cyclotomic,
+    DenominatorFamilyError,
     LaurentU,
     OrderMismatchError,
     PolyUZ,
@@ -187,6 +189,15 @@ def _numeric_point(args) -> "tuple[complex, complex] | None":
     return _parse_complex(args.eval_u), _parse_complex(args.eval_z)
 
 
+def _approx(point: tuple[complex, complex], evaluate, *args) -> dict:
+    """The labeled approximate value ``evaluate(*args, u, z)``; a pole there
+    is a precondition violation."""
+    try:
+        return _json_complex(evaluate(*args, *point))
+    except ZeroDivisionError as exc:
+        raise PreconditionError(f"u={point[0]}, z={point[1]} is a pole ({exc})") from exc
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -214,7 +225,7 @@ def _cmd_invariant(args, out, err) -> int:
             "invariant": _json_invariant(value),
         }
         if point is not None:
-            entry["approx"] = _json_complex(evaluate_numeric(value, sol, *point))
+            entry["approx"] = _approx(point, evaluate_numeric, value, sol)
         results.append(entry)
         if args.format == "text":
             prefix = f"{name}: " if args.corpus else ""
@@ -254,7 +265,7 @@ def _cmd_trace(args, out, err) -> int:
             entry["subset"] = sorted(sol.subset)
             entry["trace"] = _json_ratfunc(value)
             if point is not None:
-                entry["approx"] = _json_complex(value.eval_complex(*point))
+                entry["approx"] = _approx(point, value.eval_complex)
         results.append(entry)
         if args.format == "text":
             prefix = f"{name}: " if args.corpus else ""
@@ -473,7 +484,14 @@ _SUITES = {
 
 def _cmd_verify(args, out, err) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    rng = random.Random(args.seed)
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get(SEED_ENV, "0")
+        try:
+            seed = int(text)
+        except ValueError as exc:
+            raise UsageError(f"malformed ${SEED_ENV} {text!r}: expected an integer") from exc
+    rng = random.Random(seed)
     all_ok = True
 
     def report(label: str, passed: bool) -> bool:
@@ -482,7 +500,7 @@ def _cmd_verify(args, out, err) -> int:
 
     for name in names:
         ok = _SUITES[name](rng, report)
-        print(f"suite {name}: {'PASS' if ok else 'FAIL'} (seed={args.seed})", file=out)
+        print(f"suite {name}: {'PASS' if ok else 'FAIL'} (seed={seed})", file=out)
         all_ok &= ok
     return EXIT_OK if all_ok else EXIT_COHERENCE
 
@@ -491,7 +509,11 @@ def _cmd_verify(args, out, err) -> int:
 # Entry point.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused:
+    parsing leaves it unchanged, and environment defaults are read by the
+    subcommands, not frozen into it."""
     parser = argparse.ArgumentParser(
         prog="yhecke",
         description="Exact link invariants from Markov traces on Y_{d,n}(u).",
@@ -547,7 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get(SEED_ENV, "0")),
         help=f"random seed (default from ${SEED_ENV}, else 0)",
     )
     p_vf.set_defaults(func=_cmd_verify)
@@ -576,6 +597,9 @@ def main(argv: "Sequence[str] | None" = None, out=None, err=None) -> int:
         return EXIT_PRECONDITION
     except CoherenceError as exc:
         print(f"internal coherence failure: {exc}", file=err)
+        return EXIT_COHERENCE
+    except DenominatorFamilyError as exc:
+        print(f"internal failure: {exc}", file=err)
         return EXIT_COHERENCE
     except ValueError as exc:
         print(f"error: {exc}", file=err)

@@ -11,8 +11,10 @@ Everything here is exact and immutable:
   coefficients are ``LaurentU`` (x_0 is identified with the constant 1);
 - ``PolyUZ`` is an ordinary polynomial in u, z over Q(zeta_d);
 - ``RatFunc`` is a quotient of two ``PolyUZ``, kept in canonical form
-  (gcd-reduced, denominator with leading coefficient 1) so that equality
-  is structural.
+  (reduced, denominator with leading coefficient 1) so that equality is
+  structural.  Its denominator is u^a z^b l^c for a single linear form l,
+  the shape every value of the invariant has, so reduction needs only the
+  monomial content and synthetic division by l.
 
 Monomial orders, and hence all renderings, are deterministic: total degree
 first, then lexicographically with z before u before x_1 before x_2, etc.
@@ -759,211 +761,115 @@ class PolyUZ:
         return _join_signed(parts)
 
 
-# -- gcd machinery for PolyUZ ------------------------------------------------
-# A PolyUZ is viewed as a polynomial in z whose coefficients are dense
-# polynomials in u over Q(zeta_d); gcds use the primitive Euclidean algorithm.
-
-_UPoly = list  # list[Cyclotomic], low degree first, trimmed
-
-
-def _up_trim(cs: list[Cyclotomic]) -> _UPoly:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
+# -- reduction over the denominator family ----------------------------------
+# Every denominator the invariant forms is u^a z^b L^c with L = z - (1-u) zeta:
+# the trace substitution gives powers of u, lambda = L / (u z) and D bring in
+# z and L, and the mirror map u -> 1/u, z -> lambda z sends the family to
+# itself.  A common factor with such a denominator is therefore a monomial
+# times a power of one linear form, found from the monomial content and by
+# synthetic division; no general bivariate gcd is needed.
 
 
-def _up_is_zero(a: _UPoly) -> bool:
-    return not a
+class DenominatorFamilyError(ArithmeticError):
+    """Raised when a denominator is not u^a z^b c l^k for a single linear
+    form l = z + alpha u + beta, or l = u + beta when it has no z."""
 
 
-def _up_mul(a: _UPoly, b: _UPoly, order: int) -> _UPoly:
-    if not a or not b:
-        return []
+def _monomial_shift(p: PolyUZ, ue: int, ze: int) -> PolyUZ:
+    """p * u^ue z^ze for exponents that keep every term a polynomial."""
+    if not (ue or ze):
+        return p
+    return PolyUZ(p.order, tuple(((a + ue, b + ze), c) for (a, b), c in p.terms))
+
+
+def _linear_factor(r: PolyUZ) -> tuple[Cyclotomic, PolyUZ, int]:
+    """Write r, a nonzero polynomial with no monomial content, as c * l^k.
+
+    l is z + alpha u + beta when r has z, else u + beta, and 1 when r is a
+    constant.  It is read off the coefficient of its leading variable to the
+    power k - 1, which is k c (alpha u + beta); all of r is then checked
+    against c l^k.
+    """
+    order = r.order
+    coeffs = dict(r.terms)
+    var = 1 if any(ze for (_, ze), _ in r.terms) else 0
+    k = max(m[var] for m in coeffs)
+    lead = (0, k) if var else (k, 0)
+    ell = PolyUZ.one(order)
+    c = coeffs.get(lead)
+    if c is not None and k:
+        one, zero = Cyclotomic.one(order), Cyclotomic.zero(order)
+        scale = (c * k).inverse()
+        if var:
+            alpha = coeffs.get((1, k - 1), zero) * scale
+            beta = coeffs.get((0, k - 1), zero) * scale
+            ell = PolyUZ.from_dict(order, {(0, 1): one, (1, 0): alpha, (0, 0): beta})
+        else:
+            beta = coeffs.get((k - 1, 0), zero) * scale
+            ell = PolyUZ.from_dict(order, {(1, 0): one, (0, 0): beta})
+    if c is None or _linear_power(ell, k).scale(c) != r:
+        raise DenominatorFamilyError(f"denominator {r} is not c * l^k for a linear form l")
+    return c, ell, k
+
+
+@lru_cache(maxsize=64)
+def _linear_power(ell: PolyUZ, k: int) -> PolyUZ:
+    """l^k; a run meets few linear forms, each with small exponents."""
+    return PolyUZ.one(ell.order) if k == 0 else _linear_power(ell, k - 1) * ell
+
+
+def _divide_linear(p: PolyUZ, ell: PolyUZ) -> "PolyUZ | None":
+    """p / l by synthetic division in l's leading variable v, or None when l
+    does not divide p.  l is v + s with s a polynomial in the other variable."""
+    order = p.order
     zero = Cyclotomic.zero(order)
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca.is_zero():
-            for j, cb in enumerate(b):
-                if not cb.is_zero():
-                    out[i + j] = out[i + j] + ca * cb
-    return _up_trim(out)
+    var = 1 if any(ze for (_, ze), _ in ell.terms) else 0
+    other = 1 - var
+    shift = [(m[other], c) for m, c in ell.terms if m[var] == 0]
+    rows: list[dict[int, Cyclotomic]] = [{} for _ in range(max(m[var] for m, _ in p.terms) + 1)]
+    for m, c in p.terms:
+        rows[m[var]][m[other]] = c
+    # p = sum a_i v^i and q = sum q_i v^i: q_{i-1} = a_i - s q_i, remainder a_0 - s q_0.
+    quot: dict[_UZMono, Cyclotomic] = {}
+    q: dict[int, Cyclotomic] = {}
+    for i in range(len(rows) - 1, -1, -1):
+        acc = dict(rows[i])
+        for we, qc in q.items():
+            for se, sc in shift:
+                acc[we + se] = acc.get(we + se, zero) - qc * sc
+        q = {e: c for e, c in acc.items() if not c.is_zero()}
+        if i:
+            for e, c in q.items():
+                quot[(e, i - 1) if var else (i - 1, e)] = c
+    return None if q else PolyUZ.from_dict(order, quot)
 
 
-def _up_sub(a: _UPoly, b: _UPoly, order: int) -> _UPoly:
-    zero = Cyclotomic.zero(order)
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x - y)
-    return _up_trim(out)
+def poly_gcd(p: PolyUZ, q: PolyUZ) -> tuple[PolyUZ, PolyUZ, PolyUZ]:
+    """Greatest common factor g of p and a denominator q, with the cofactors
+    p / g and q / g.
 
-
-def _up_divmod(a: _UPoly, b: _UPoly, order: int) -> tuple[_UPoly, _UPoly]:
-    assert b, "division by zero u-polynomial"
-    zero = Cyclotomic.zero(order)
-    rem = list(a)
-    lead_inv = b[-1].inverse()
-    db = len(b) - 1
-    quot = [zero] * max(len(a) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c.is_zero():
-            continue
-        q = c * lead_inv
-        quot[i - db] = q
-        for j in range(db + 1):
-            rem[i - db + j] = rem[i - db + j] - q * b[j]
-    return _up_trim(quot), _up_trim(rem)
-
-
-def _up_monic(a: _UPoly, order: int) -> _UPoly:
-    if not a:
-        return a
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
-def _up_gcd(a: _UPoly, b: _UPoly, order: int) -> _UPoly:
-    while b:
-        _, r = _up_divmod(a, b, order)
-        a, b = b, r
-    return _up_monic(a, order)
-
-
-def _uz_to_zrep(p: PolyUZ) -> list[_UPoly]:
-    """Dense representation: index by z-exponent, entries are u-polynomials."""
-    if not p.terms:
-        return []
-    zero = Cyclotomic.zero(p.order)
-    zdeg = max(ze for (_, ze), _ in p.terms)
-    udegs = [0] * (zdeg + 1)
-    for (ue, ze), _ in p.terms:
-        udegs[ze] = max(udegs[ze], ue)
-    rep: list[_UPoly] = [[zero] * (udegs[i] + 1) for i in range(zdeg + 1)]
-    for (ue, ze), c in p.terms:
-        rep[ze][ue] = c
-    return [_up_trim(cs) for cs in rep]
-
-
-def _zrep_to_uz(rep: list[_UPoly], order: int) -> PolyUZ:
-    acc: dict[_UZMono, Cyclotomic] = {}
-    for ze, cs in enumerate(rep):
-        for ue, c in enumerate(cs):
-            if not c.is_zero():
-                acc[(ue, ze)] = c
-    return PolyUZ.from_dict(order, acc)
-
-
-def _zrep_trim(rep: list[_UPoly]) -> list[_UPoly]:
-    while rep and _up_is_zero(rep[-1]):
-        rep.pop()
-    return rep
-
-
-def _zrep_content(rep: list[_UPoly], order: int) -> _UPoly:
-    g: _UPoly = []
-    for cs in rep:
-        if cs:
-            g = _up_gcd(g, cs, order) if g else _up_monic(list(cs), order)
-            if len(g) == 1:
-                break
-    return g
-
-
-def _zrep_div_content(rep: list[_UPoly], content: _UPoly, order: int) -> list[_UPoly]:
-    out = []
-    for cs in rep:
-        if not cs:
-            out.append([])
-            continue
-        q, r = _up_divmod(cs, content, order)
-        assert _up_is_zero(r), "content division must be exact"
-        out.append(q)
-    return out
-
-
-def _zrep_pseudo_rem(a: list[_UPoly], b: list[_UPoly], order: int) -> list[_UPoly]:
-    """Pseudo-remainder of a by b as polynomials in z over Q(zeta_d)[u]."""
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[-1]
-    rem = [list(cs) for cs in a]
-    while len(rem) - 1 >= db and not _up_is_zero(rem[-1]):
-        shift = len(rem) - 1 - db
-        top = rem[-1]
-        rem = [_up_mul(cs, lead, order) for cs in rem]
-        for j in range(db + 1):
-            rem[shift + j] = _up_sub(rem[shift + j], _up_mul(b[j], top, order), order)
-        rem = _zrep_trim(rem)
-    return rem
-
-
-def poly_gcd(p: PolyUZ, q: PolyUZ) -> PolyUZ:
-    """Gcd of two bivariate polynomials over Q(zeta_d), normalized so its
-    leading coefficient (total degree, then z, then u) is 1."""
+    q must be nonzero and of the form u^a z^b c l^k for one linear form l;
+    g = u^i z^j l^m is then monic, with (i, j) the least exponents over the
+    terms of both polynomials and m the number of times l divides p exactly.
+    Any other q raises ``DenominatorFamilyError``.
+    """
     if p.order != q.order:
         raise OrderMismatchError("gcd of polynomials over different orders")
-    order = p.order
-    if p.is_zero():
-        return _normalize_lead(q)
     if q.is_zero():
-        return _normalize_lead(p)
-    a, b = _uz_to_zrep(p), _uz_to_zrep(q)
-    ca, cb = _zrep_content(a, order), _zrep_content(b, order)
-    cg = _up_gcd(ca, cb, order)
-    a = _zrep_div_content(a, ca, order)
-    b = _zrep_div_content(b, cb, order)
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        if not b:
-            g = a
-            break
-        r = _zrep_pseudo_rem(a, b, order)
-        if not r:
-            g = b
-            break
-        cr = _zrep_content(r, order)
-        a, b = b, _zrep_div_content(r, cr, order)
-    cgg = _zrep_content(g, order)
-    g = _zrep_div_content(g, cgg, order)
-    g = [_up_mul(cs, cg, order) for cs in g]
-    return _normalize_lead(_zrep_to_uz(g, order))
-
-
-def _normalize_lead(p: PolyUZ) -> PolyUZ:
-    if p.is_zero():
-        return p
-    _, lead = p.leading_monomial()
-    return p.scale(lead.inverse())
-
-
-def poly_exact_div(p: PolyUZ, g: PolyUZ) -> PolyUZ:
-    """Divide p by a known divisor g, asserting exactness."""
-    if p.order != g.order:
-        raise OrderMismatchError("division of polynomials over different orders")
-    order = p.order
-    assert not g.is_zero(), "division by the zero polynomial"
-    if p.is_zero():
-        return p
-    a, b = _uz_to_zrep(p), _uz_to_zrep(g)
-    db = len(b) - 1
-    quot: list[_UPoly] = [[] for _ in range(len(a) - db)]
-    rem = [list(cs) for cs in a]
-    while len(rem) - 1 >= db:
-        rem = _zrep_trim(rem)
-        if len(rem) - 1 < db:
-            break
-        top, r = _up_divmod(rem[-1], b[-1], order)
-        assert _up_is_zero(r), "leading coefficient division must be exact"
-        shift = len(rem) - 1 - db
-        quot[shift] = top
-        for j in range(db + 1):
-            rem[shift + j] = _up_sub(rem[shift + j], _up_mul(b[j], top, order), order)
-        rem.pop()
-    assert not _zrep_trim(rem), "polynomial division was not exact"
-    return _zrep_to_uz(quot, order)
+        raise ZeroDivisionError("gcd with the zero denominator")
+    terms = p.terms + q.terms
+    i = min(ue for (ue, _), _ in terms)
+    j = min(ze for (_, ze), _ in terms)
+    p = _monomial_shift(p, -i, -j)
+    q = _monomial_shift(q, -i, -j)
+    a = min(ue for (ue, _), _ in q.terms)
+    b = min(ze for (_, ze), _ in q.terms)
+    c, ell, k = _linear_factor(_monomial_shift(q, -a, -b))
+    m = k if p.is_zero() else 0
+    while m < k and (quotient := _divide_linear(p, ell)) is not None:
+        p, m = quotient, m + 1
+    g = _monomial_shift(_linear_power(ell, m), i, j)
+    return g, p, _monomial_shift(_linear_power(ell, k - m).scale(c), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -972,9 +878,16 @@ def poly_exact_div(p: PolyUZ, g: PolyUZ) -> PolyUZ:
 
 @dataclass(frozen=True)
 class RatFunc:
-    """Quotient of two PolyUZ in canonical form: gcd-reduced, denominator's
-    leading coefficient equal to 1, and zero stored as 0/1.  Structural
-    equality therefore coincides with equality of rational functions.
+    """Quotient of two PolyUZ in canonical form: numerator and denominator
+    coprime, denominator's leading coefficient equal to 1, and zero stored
+    as 0/1.  Structural equality therefore coincides with equality of
+    rational functions.
+
+    Denominators are confined to the family u^a z^b l^c for one linear form
+    l (z + alpha u + beta, or u + beta), which holds for every value the
+    invariant forms.  ``make`` reduces a fraction by the common monomial,
+    then by l as often as l divides the numerator (see ``poly_gcd``); a
+    denominator outside the family raises ``DenominatorFamilyError``.
     """
 
     order: int
@@ -990,9 +903,7 @@ class RatFunc:
         order = num.order
         if num.is_zero():
             return RatFunc(order, PolyUZ.zero(order), PolyUZ.one(order))
-        g = poly_gcd(num, den)
-        num = poly_exact_div(num, g)
-        den = poly_exact_div(den, g)
+        _, num, den = poly_gcd(num, den)
         _, lead = den.leading_monomial()
         inv = lead.inverse()
         return RatFunc(order, num.scale(inv), den.scale(inv))

@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from yhecke.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
+import yhecke.cli
+from yhecke.cli import EXIT_COHERENCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
+from yhecke.exactnum import PolyUZ, RatFunc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -132,6 +135,40 @@ def test_exit_code_precondition_errors():
     assert code == EXIT_PRECONDITION and "--subset" in err
 
 
+def test_exit_code_pole_at_evaluation_point():
+    code, out, err = run_cli(
+        "invariant", "--d", "2", "--subset", "0", "--braid", "1 1", "--eval-u", "1", "--eval-z", "0"
+    )
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: ") and "pole" in err and err.count("\n") == 1
+
+
+def test_exit_code_denominator_outside_family_is_internal(monkeypatch):
+    def out_of_family(d, sol, braid):
+        RatFunc.make(PolyUZ.one(d), PolyUZ.monomial(d, 1, 1) + PolyUZ.one(d))
+
+    monkeypatch.setattr(yhecke.cli, "delta_invariant", out_of_family)
+    code, _, err = run_cli("invariant", "--d", "2", "--subset", "0", "--braid", "1")
+    assert code == EXIT_COHERENCE and "internal failure" in err
+
+
+def test_json_output_identical_across_hash_seeds():
+    cases = [
+        # negative writhe: the body's denominator has a power of L = z - (1-u) zeta
+        ("invariant", "--d", "2", "--subset", "0", "--braid", "-1 -1 2 -1 -2", "--format", "json"),
+        ("adelic", "--chain", "2,4", "--subset", "0", "--braid", "1 -2 1", "--format", "json"),
+    ]
+    for argv in cases:
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "yhecke.cli", *argv], capture_output=True, check=True, env=env
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
+
 def test_verify_all_suites_pass():
     code, out, _ = run_cli("verify", "--seed", "3")
     assert code == EXIT_OK
@@ -146,6 +183,12 @@ def test_verify_seed_from_environment(monkeypatch):
     code, out, _ = run_cli("verify", "--suite", "relations")
     assert code == EXIT_OK
     assert "(seed=7)" in out
+
+
+def test_verify_malformed_seed_environment(monkeypatch):
+    monkeypatch.setenv("YHECKE_SEED", "seven")
+    code, out, err = run_cli("verify", "--suite", "relations")
+    assert code == EXIT_USAGE and out == "" and "YHECKE_SEED" in err
 
 
 def test_numeric_evaluation_is_labeled_approximate():

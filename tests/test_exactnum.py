@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from yhecke.exactnum import (
     Cyclotomic,
+    DenominatorFamilyError,
     LaurentU,
     OrderMismatchError,
     PolyUZ,
@@ -18,7 +23,6 @@ from yhecke.exactnum import (
     TracePolynomial,
     cyclotomic_polynomial,
     euler_phi,
-    poly_exact_div,
     poly_gcd,
     substitute_x_values,
 )
@@ -211,22 +215,53 @@ def rand_poly(rng: random.Random, order: int, max_terms: int = 4) -> PolyUZ:
     return PolyUZ.from_dict(order, terms)
 
 
+def rand_cyclotomic(rng: random.Random, order: int) -> Cyclotomic:
+    return Cyclotomic(
+        order, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(euler_phi(order)))
+    )
+
+
+def rand_linear_form(rng: random.Random, order: int) -> PolyUZ:
+    """z + alpha u + beta, or u + beta, other than a bare u or z."""
+    one = Cyclotomic.one(order)
+    while True:
+        alpha, beta = rand_cyclotomic(rng, order), rand_cyclotomic(rng, order)
+        if rng.random() < 0.25:
+            ell = PolyUZ.from_dict(order, {(1, 0): one, (0, 0): beta})
+        else:
+            ell = PolyUZ.from_dict(order, {(0, 1): one, (1, 0): alpha, (0, 0): beta})
+        if len(ell.terms) > 1:
+            return ell
+
+
+def family_member(order: int, ell: PolyUZ, a: int, b: int, c: int) -> PolyUZ:
+    """The monic denominator u^a z^b l^c."""
+    out = PolyUZ.monomial(order, a, b)
+    for _ in range(c):
+        out = out * ell
+    return out
+
+
+def rand_family(rng: random.Random, order: int, ell: PolyUZ, max_exp: int = 2) -> PolyUZ:
+    return family_member(order, ell, rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_poly_gcd_divides_products(order):
     rng = random.Random(order * 11)
     for _ in range(15):
-        a, b, g = rand_poly(rng, order), rand_poly(rng, order), rand_poly(rng, order)
-        if g.is_zero() or a.is_zero() or b.is_zero():
+        ell = rand_linear_form(rng, order)
+        a, b, g = rand_poly(rng, order), rand_family(rng, order, ell), rand_family(rng, order, ell)
+        if a.is_zero():
             continue
+        a = a * rand_family(rng, order, ell)
         ag, bg = a * g, b * g
-        got = poly_gcd(ag, bg)
+        got, q1, q2 = poly_gcd(ag, bg)
         # the gcd divides both products exactly ...
-        q1 = poly_exact_div(ag, got)
-        q2 = poly_exact_div(bg, got)
         assert q1 * got == ag and q2 * got == bg
         # ... and is itself a multiple of the common factor g.
-        quot = poly_exact_div(got, g)
-        assert quot * g == got
+        _, quot, unit = poly_gcd(got, g)
+        assert unit == PolyUZ.one(order) and quot * g == got
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -236,18 +271,113 @@ def test_ratfunc_congruence_cross_multiplication(order):
     rng = random.Random(order * 7)
     checked = 0
     while checked < 30:
-        a, b = rand_poly(rng, order), rand_poly(rng, order)
-        c, dd = rand_poly(rng, order), rand_poly(rng, order)
-        if b.is_zero() or dd.is_zero():
-            continue
+        ell = rand_linear_form(rng, order)
+        a, b = rand_poly(rng, order), rand_family(rng, order, ell)
+        c, dd = rand_poly(rng, order), rand_family(rng, order, ell)
         f1 = RatFunc.make(a, b)
         f2 = RatFunc.make(c, dd)
         assert (f1 == f2) == f1.equal_cross(f2)
         # scaling numerator and denominator never changes the value
-        s = rand_poly(rng, order)
-        if not s.is_zero():
-            assert RatFunc.make(a * s, b * s) == f1
+        s = rand_family(rng, order, ell)
+        assert RatFunc.make(a * s, b * s) == f1
         checked += 1
+
+
+def family_exponents(den: PolyUZ, ell: PolyUZ) -> tuple[int, int, int]:
+    """(a, b, c) such that den should be u^a z^b l^c."""
+    var = 1 if any(ze for (_, ze), _ in ell.terms) else 0
+    a = min(ue for (ue, _), _ in den.terms)
+    b = min(ze for (_, ze), _ in den.terms)
+    return a, b, max(m[var] for m, _ in den.terms) - (b if var else a)
+
+
+def rand_unit(rng: random.Random, order: int) -> Cyclotomic:
+    c = rand_cyclotomic(rng, order)
+    return c if not c.is_zero() else Cyclotomic.one(order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_make_cancels_common_family_factor(order):
+    """make(a g, b g) == make(a, b) for a common factor g = u^i z^j l^m; the
+    reduced denominator is exactly a monic u^a z^b l^c; == agrees with
+    equal_cross."""
+    rng = random.Random(order * 13)
+    for _ in range(20):
+        ell = rand_linear_form(rng, order)
+        a = rand_poly(rng, order) * rand_family(rng, order, ell)
+        b = rand_family(rng, order, ell).scale(rand_unit(rng, order))
+        g = rand_family(rng, order, ell)
+        f = RatFunc.make(a, b)
+        scaled = RatFunc.make(a * g, b * g)
+        assert scaled == f and scaled.equal_cross(f)
+        assert f.den == family_member(order, ell, *family_exponents(f.den, ell))
+        assert f.num * b == a * f.den
+        other = RatFunc.make(rand_poly(rng, order), rand_family(rng, order, ell))
+        assert (other == f) == other.equal_cross(f)
+
+
+def test_make_matches_sympy_cancel():
+    """Over Q (orders 1 and 2) the reduced fraction is sympy's, up to a
+    constant factor."""
+    sympy = pytest.importorskip("sympy")
+    su, sz = sympy.symbols("u z")
+
+    def expr(p: PolyUZ):
+        return sum(
+            (sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator) * su**ue * sz**ze
+             for (ue, ze), c in p.terms),
+            sympy.Integer(0),
+        )
+
+    rng = random.Random(5)
+    for order in (1, 2):
+        for _ in range(15):
+            ell = rand_linear_form(rng, order)
+            num = rand_poly(rng, order) * rand_family(rng, order, ell)
+            den = rand_family(rng, order, ell, max_exp=3).scale(rand_unit(rng, order))
+            if num.is_zero():
+                continue
+            f = RatFunc.make(num, den)
+            want_num, want_den = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+            assert sympy.cancel(expr(f.den) / want_den).is_number
+            assert sympy.expand(expr(f.num) * want_den - want_num * expr(f.den)) == 0
+
+
+def out_of_family_denominators(order: int) -> list[PolyUZ]:
+    u, z, one = PolyUZ.monomial(order, 1, 0), PolyUZ.monomial(order, 0, 1), PolyUZ.one(order)
+    return [
+        u * z + one,  # not a power of a linear form
+        (u - one) * (z + u - one),  # two different linear forms
+        z * z + u,
+        (z + one) * (z + PolyUZ.from_scalar(order, 2)),
+        u * u + one,
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_out_of_family_denominator_raises(order):
+    for den in out_of_family_denominators(order):
+        with pytest.raises(DenominatorFamilyError):
+            RatFunc.make(PolyUZ.one(order), den)
+
+
+def test_out_of_family_denominator_raises_under_optimize():
+    """The check is an explicit raise, so python -O keeps it."""
+    import yhecke
+
+    src = str(Path(yhecke.__file__).resolve().parents[1])
+    code = (
+        "from yhecke.exactnum import DenominatorFamilyError, PolyUZ, RatFunc\n"
+        "den = PolyUZ.monomial(1, 1, 1) + PolyUZ.one(1)\n"
+        "try:\n"
+        "    RatFunc.make(PolyUZ.one(1), den)\n"
+        "except DenominatorFamilyError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised"]
 
 
 def test_ratfunc_field_ops():
@@ -264,11 +394,14 @@ def test_ratfunc_field_ops():
 
 
 def test_ratfunc_substitute_involution():
+    # the mirror map u -> 1/u, z -> lambda z sends L = z - (1 - u) to z/u,
+    # so it keeps denominators in the family u^a z^b L^c
     u = RatFunc.u_var(1)
     z = RatFunc.z_var(1)
-    f = (z * z - u) / (u * z + 1)
-    g = f.substitute(1 / u, z)
-    assert g.substitute(1 / u, z) == f
+    lam = (z - (1 - u)) / (u * z)
+    f = (z * z - u) / (u * z * (z - 1 + u) ** 2)
+    g = f.substitute(1 / u, lam * z)
+    assert g.substitute(1 / u, lam * z) == f
 
 
 def test_substitution_is_ring_homomorphism():
