@@ -37,6 +37,7 @@ from .yokonuma import (
 from .trace import markov_trace, trace_of_braid
 from .esystem import (
     ESolution,
+    ESystemError,
     e_polynomial,
     enumerate_subsets,
     lift_subset,

@@ -9,11 +9,16 @@ Subcommands
 - ``verify``: seeded property suites (relations, markov, skein, esystem,
   adelic-coherence).
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 parse/validation error, 2 mathematical precondition violation,
-3 internal coherence failure.  Output for a fixed input and seed is
-byte-identical across runs; numeric evaluation (--eval-u/--eval-z) is
-double precision and labeled approximate.
+``invariant``, ``trace`` and ``adelic`` check their parameters, then share
+one record loop (``_run_records``) over an inline braid or a corpus: it
+reports bad corpus records, prefixes corpus text lines with the record name
+and writes the JSON document.
+
+Results go to stdout, diagnostics (argparse's usage messages included) to
+stderr.  Exit codes: 0 success, 1 parse/validation error, 2 mathematical
+precondition violation, 3 internal coherence failure.  Output for a fixed
+input and seed is byte-identical across runs; numeric evaluation
+(--eval-u/--eval-z) is double precision and labeled approximate.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 import os
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -48,6 +54,7 @@ from .braid import (
     parse_braid,
 )
 from .esystem import (
+    ESystemError,
     enumerate_subsets,
     lift_subset,
     render_subset,
@@ -153,8 +160,7 @@ def _parse_subset(text: str, d: int) -> frozenset[int]:
         raise UsageError(f"malformed subset {text!r}: expected comma-separated integers") from exc
     if not parts:
         raise PreconditionError("subset must be non-empty")
-    out = frozenset(p % d for p in parts)
-    return out
+    return frozenset(p % d for p in parts)
 
 
 def _parse_complex(text: str) -> complex:
@@ -172,7 +178,8 @@ def _load_braids(args) -> list[tuple[str, "BraidWord | CorpusRecordError"]]:
             return [("braid", parse_braid(args.braid))]
         except BraidParseError as exc:
             raise UsageError(f"bad braid word: {exc}") from exc
-    assert args.corpus is not None
+    if args.corpus is None:
+        raise UsageError("a braid source is required: --braid or --corpus")
     try:
         with open(args.corpus, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -198,48 +205,70 @@ def _approx(point: tuple[complex, complex], evaluate, *args) -> dict:
         raise PreconditionError(f"u={point[0]}, z={point[1]} is a pole ({exc})") from exc
 
 
+def _approx_lines(point: "tuple[complex, complex] | None", fields: dict) -> list[str]:
+    """The text line of ``fields["approx"]``, when a point was given."""
+    if point is None:
+        return []
+    approx = fields["approx"]
+    return [f"approx at u={point[0]}, z={point[1]}: {approx['re']:.12g}{approx['im']:+.12g}j (approximate)"]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
+
+def _run_records(args, out, err, record, document: "str | None" = None) -> int:
+    """The record loop of the braid subcommands.
+
+    ``record(braid)`` returns the record's JSON fields and a function giving
+    its text lines, which is called only in text mode.  Bad corpus records
+    are reported on ``err`` and kept in the JSON as errors; corpus text lines
+    carry a ``name: `` prefix.  The JSON document is the list of entries for
+    a corpus, else the single entry, or its field ``document`` when given.
+    """
+    text = args.format == "text"
+    results = []
+    for name, rec in _load_braids(args):
+        if isinstance(rec, CorpusRecordError):
+            print(f"skipped: {rec}", file=err)
+            results.append({"name": name, "error": str(rec)})
+            continue
+        fields, lines = record(rec)
+        results.append({"name": name, "braid": format_braid(rec), **fields})
+        if text:
+            prefix = f"{name}: " if args.corpus else ""
+            for line in lines():
+                print(prefix + line, file=out)
+    if not text:
+        payload = results if args.corpus else results[0]
+        if document is not None and not args.corpus:
+            payload = payload[document]
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+    return EXIT_OK
+
 
 def _cmd_invariant(args, out, err) -> int:
     d = args.d
     subset = _parse_subset(args.subset, d)
     sol = solution_from_subset(d, subset)
     point = _numeric_point(args)
-    records = _load_braids(args)
-    results = []
-    for name, rec in records:
-        if isinstance(rec, CorpusRecordError):
-            print(f"skipped: {rec}", file=err)
-            results.append({"name": name, "error": str(rec)})
-            continue
-        value = delta_invariant(d, sol, rec)
-        entry = {
-            "name": name,
-            "braid": format_braid(rec),
+
+    def record(braid):
+        value = delta_invariant(d, sol, braid)
+        fields = {
             "d": d,
             "subset": sorted(subset),
-            "components": closure_component_count(rec),
-            "exponentSum": exponent_sum(rec),
+            "components": closure_component_count(braid),
+            "exponentSum": exponent_sum(braid),
             "invariant": _json_invariant(value),
         }
         if point is not None:
-            entry["approx"] = _approx(point, evaluate_numeric, value, sol)
-        results.append(entry)
-        if args.format == "text":
-            prefix = f"{name}: " if args.corpus else ""
-            print(f"{prefix}Delta[{render_subset(d, subset)}]({format_braid(rec)}) = {value}", file=out)
-            if point is not None:
-                approx = entry["approx"]
-                print(
-                    f"{prefix}approx at u={point[0]}, z={point[1]}: "
-                    f"{approx['re']:.12g}{approx['im']:+.12g}j (approximate)",
-                    file=out,
-                )
-    if args.format == "json":
-        print(json.dumps(results if args.corpus else results[0], indent=2, sort_keys=True), file=out)
-    return EXIT_OK
+            fields["approx"] = _approx(point, evaluate_numeric, value, sol)
+        return fields, lambda: [
+            f"Delta[{render_subset(d, subset)}]({format_braid(braid)}) = {value}", *_approx_lines(point, fields)
+        ]
+
+    return _run_records(args, out, err, record)
 
 
 def _cmd_trace(args, out, err) -> int:
@@ -250,36 +279,18 @@ def _cmd_trace(args, out, err) -> int:
     point = _numeric_point(args)
     if point is not None and sol is None:
         raise PreconditionError("numeric evaluation of a trace requires --subset")
-    records = _load_braids(args)
-    results = []
-    for name, rec in records:
-        if isinstance(rec, CorpusRecordError):
-            print(f"skipped: {rec}", file=err)
-            results.append({"name": name, "error": str(rec)})
-            continue
-        value = trace_of_braid(d, rec, sol)
-        entry = {"name": name, "braid": format_braid(rec), "d": d}
+
+    def record(braid):
+        value = trace_of_braid(d, braid, sol)
         if sol is None:
-            entry["trace"] = _json_trace_poly(value)
+            fields = {"d": d, "trace": _json_trace_poly(value)}
         else:
-            entry["subset"] = sorted(sol.subset)
-            entry["trace"] = _json_ratfunc(value)
-            if point is not None:
-                entry["approx"] = _approx(point, value.eval_complex)
-        results.append(entry)
-        if args.format == "text":
-            prefix = f"{name}: " if args.corpus else ""
-            print(f"{prefix}tr_{d}({format_braid(rec)}) = {value}", file=out)
-            if point is not None and sol is not None:
-                approx = entry["approx"]
-                print(
-                    f"{prefix}approx at u={point[0]}, z={point[1]}: "
-                    f"{approx['re']:.12g}{approx['im']:+.12g}j (approximate)",
-                    file=out,
-                )
-    if args.format == "json":
-        print(json.dumps(results if args.corpus else results[0], indent=2, sort_keys=True), file=out)
-    return EXIT_OK
+            fields = {"d": d, "subset": sorted(sol.subset), "trace": _json_ratfunc(value)}
+        if point is not None:
+            fields["approx"] = _approx(point, value.eval_complex)
+        return fields, lambda: [f"tr_{d}({format_braid(braid)}) = {value}", *_approx_lines(point, fields)]
+
+    return _run_records(args, out, err, record)
 
 
 def _cmd_esystem(args, out, err) -> int:
@@ -321,39 +332,21 @@ def _cmd_adelic(args, out, err) -> int:
     chain = _parse_chain(args.chain)
     d1 = chain.entries[0]
     subset = _parse_subset(args.subset, d1)
-    records = _load_braids(args)
-    results = []
-    for name, rec in records:
-        if isinstance(rec, CorpusRecordError):
-            print(f"skipped: {rec}", file=err)
-            results.append({"name": name, "error": str(rec)})
-            continue
-        values = adelic_delta(chain, subset, rec)
-        levels = []
-        for d, value in zip(chain.entries, values):
-            lifted = lift_subset(d1, d, subset)
-            levels.append(
-                {
-                    "d": d,
-                    "subset": sorted(lifted),
-                    "invariant": _json_invariant(value),
-                }
-            )
-        entry = {"name": name, "braid": format_braid(rec), "chain": list(chain.entries), "levels": levels}
-        results.append(entry)
-        if args.format == "text":
-            prefix = f"{name}: " if args.corpus else ""
-            for d, value in zip(chain.entries, values):
-                lifted = lift_subset(d1, d, subset)
-                print(
-                    f"{prefix}Delta[{render_subset(d, lifted)}]({format_braid(rec)}) = {value}",
-                    file=out,
-                )
-    if args.format == "json":
-        # a single braid renders as the bare array of per-level invariants
-        payload = results if args.corpus else results[0]["levels"]
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-    return EXIT_OK
+    lifts = [(d, lift_subset(d1, d, subset)) for d in chain.entries]
+
+    def record(braid):
+        values = adelic_delta(chain, subset, braid)
+        levels = [
+            {"d": d, "subset": sorted(lifted), "invariant": _json_invariant(value)}
+            for (d, lifted), value in zip(lifts, values)
+        ]
+        return {"chain": list(chain.entries), "levels": levels}, lambda: [
+            f"Delta[{render_subset(d, lifted)}]({format_braid(braid)}) = {value}"
+            for (d, lifted), value in zip(lifts, values)
+        ]
+
+    # a single braid renders as the bare array of per-level invariants
+    return _run_records(args, out, err, record, document="levels")
 
 
 def _parse_chain(text: str) -> DivisorChain:
@@ -581,7 +574,9 @@ def main(argv: "Sequence[str] | None" = None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage errors to sys.stderr and --help to sys.stdout
+        with redirect_stderr(err), redirect_stdout(out):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize to the documented code 1.
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
@@ -598,7 +593,7 @@ def main(argv: "Sequence[str] | None" = None, out=None, err=None) -> int:
     except CoherenceError as exc:
         print(f"internal coherence failure: {exc}", file=err)
         return EXIT_COHERENCE
-    except DenominatorFamilyError as exc:
+    except (DenominatorFamilyError, ESystemError) as exc:
         print(f"internal failure: {exc}", file=err)
         return EXIT_COHERENCE
     except ValueError as exc:

@@ -48,6 +48,11 @@ def verify_solution(d: int, values: Sequence[Cyclotomic]) -> bool:
     )
 
 
+class ESystemError(ValueError):
+    """Values built as a solution fail the E-system check; since solutions
+    are computed from subsets, this signals an implementation bug."""
+
+
 @dataclass(frozen=True)
 class ESolution:
     """A solution of the E-system: the parametrizing subset of Z/dZ together
@@ -68,7 +73,7 @@ class ESolution:
         if len(self.values) != self.d:
             raise ValueError(f"expected {self.d} values, got {len(self.values)}")
         if not verify_solution(self.d, self.values):
-            raise ValueError("values do not satisfy the E-system")
+            raise ESystemError("values do not satisfy the E-system")
 
     def __str__(self) -> str:
         return render_subset(self.d, self.subset)

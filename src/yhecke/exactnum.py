@@ -703,6 +703,14 @@ class PolyUZ:
                 acc[m] = acc.get(m, zero) + c1 * c2
         return PolyUZ.from_dict(self.order, acc)
 
+    def __pow__(self, k: int) -> PolyUZ:
+        if k < 0:
+            raise ValueError(f"negative power {k} of a polynomial")
+        acc = PolyUZ.one(self.order)
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
     def scale(self, c: Cyclotomic) -> PolyUZ:
         if c.is_zero():
             return PolyUZ.zero(self.order)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, exponent_sum
 from .esystem import ESolution, solution_from_subset, zeta_value
-from .exactnum import RatFunc
+from .exactnum import Cyclotomic, PolyUZ, RatFunc
 from .trace import trace_of_braid
 
 
@@ -51,21 +51,20 @@ class InvariantValue:
 
 def lambda_param(d: int, sol: ESolution) -> RatFunc:
     """The rescaling factor (z - (1-u) zeta) / (u z) with zeta = 1/|S|."""
-    zeta = zeta_value(sol)
-    u = RatFunc.u_var(d)
-    z = RatFunc.z_var(d)
-    return (z - (1 - u) * zeta) / (u * z)
+    zeta = Cyclotomic.from_rational(d, zeta_value(sol))
+    ell = PolyUZ.from_dict(d, {(0, 1): Cyclotomic.one(d), (1, 0): zeta, (0, 0): -zeta})
+    return RatFunc.make(ell, PolyUZ.monomial(d, 1, 1))
 
 
-def _make_value(d: int, half_power: int, body: RatFunc, lam: RatFunc) -> InvariantValue:
-    """Canonicalize body * sqrt(lambda)^half_power by folding whole lambdas."""
-    if body.is_zero():
-        return InvariantValue(d, 0, body)
+def _make_value(d: int, half_power: int, num: PolyUZ, den: PolyUZ, lam: RatFunc) -> InvariantValue:
+    """Canonicalize (num / den) * sqrt(lambda)^half_power, folding the whole
+    lambdas into the fraction: lambda^k is lam.num^k / lam.den^k, so one
+    ``make`` forms the body."""
     h = half_power % 2
     fold = (half_power - h) // 2
-    if fold:
-        body = body * lam**fold
-    return InvariantValue(d, h, body)
+    top, bottom = (lam.num, lam.den) if fold >= 0 else (lam.den, lam.num)
+    body = RatFunc.make(num * top ** abs(fold), den * bottom ** abs(fold))
+    return InvariantValue(d, 0 if body.is_zero() else h, body)
 
 
 def value_scale(v: InvariantValue, f: RatFunc) -> InvariantValue:
@@ -78,7 +77,7 @@ def value_scale(v: InvariantValue, f: RatFunc) -> InvariantValue:
 
 def value_scale_half(v: InvariantValue, k: int, lam: RatFunc) -> InvariantValue:
     """Multiply by sqrt(lambda)^k, re-canonicalizing the parity bit."""
-    return _make_value(v.order, v.half + k, v.body, lam)
+    return _make_value(v.order, v.half + k, v.body.num, v.body.den, lam)
 
 
 def value_add(a: InvariantValue, b: InvariantValue) -> InvariantValue:
@@ -110,12 +109,9 @@ def delta_invariant(d: int, sol: ESolution, b: BraidWord) -> InvariantValue:
     """
     traced = trace_of_braid(d, b, sol)
     assert isinstance(traced, RatFunc)
-    lam = lambda_param(d, sol)
     n = b.strands
-    eps = exponent_sum(b)
-    z = RatFunc.z_var(d)
-    body = traced / z ** (n - 1)
-    return _make_value(d, eps - (n - 1), body, lam)
+    den = traced.den * PolyUZ.monomial(d, 0, n - 1)
+    return _make_value(d, exponent_sum(b) - (n - 1), traced.num, den, lambda_param(d, sol))
 
 
 def skein_check(d: int, sol: ESolution, b: BraidWord, i: int) -> bool:
@@ -170,11 +166,8 @@ def mirror_value(d: int, sol: ESolution, v: InvariantValue) -> InvariantValue:
     u_new = 1 / RatFunc.u_var(d)
     z_new = lam * RatFunc.z_var(d)
     body = v.body.substitute(u_new, z_new)
-    if v.half:
-        body = body * lam**-1
-    if body.is_zero():
-        return InvariantValue(d, 0, body)
-    return InvariantValue(d, v.half, body)
+    # parity h with one whole lambda^-h folded in
+    return _make_value(d, -v.half, body.num, body.den, lam)
 
 
 def evaluate_numeric(v: InvariantValue, sol: ESolution, u: complex, z: complex) -> complex:

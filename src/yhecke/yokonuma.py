@@ -129,10 +129,12 @@ class BasisWord:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.d >= 1 and self.n >= 1
-        assert len(self.framings) == self.n
-        assert all(0 <= a < self.d for a in self.framings)
-        assert len(self.perm) == self.n
+        if self.d < 1 or self.n < 1:
+            raise ValueError(f"basis word needs d >= 1 and n >= 1, got d={self.d}, n={self.n}")
+        if len(self.framings) != self.n or not all(0 <= a < self.d for a in self.framings):
+            raise ValueError(f"framings {self.framings} are not {self.n} residues mod {self.d}")
+        if len(self.perm) != self.n or not is_permutation(self.perm):
+            raise ValueError(f"{self.perm} is not a permutation of {self.n} strands")
         # words are dict keys in every hot loop; cache the hash once
         object.__setattr__(
             self, "_hash", hash((self.d, self.n, self.framings, self.perm))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import yhecke.cli
+import yhecke.esystem
 from yhecke.cli import EXIT_COHERENCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
 from yhecke.exactnum import PolyUZ, RatFunc
 
@@ -152,6 +153,32 @@ def test_exit_code_denominator_outside_family_is_internal(monkeypatch):
     assert code == EXIT_COHERENCE and "internal failure" in err
 
 
+def test_failed_esystem_check_on_computed_solution_is_internal(monkeypatch):
+    monkeypatch.setattr(yhecke.esystem, "verify_solution", lambda d, values: False)
+    for argv in (
+        ("invariant", "--d", "2", "--subset", "0", "--braid", "1"),
+        ("esystem", "--d", "2", "--subset", "0"),
+        ("adelic", "--chain", "2,4", "--subset", "0", "--braid", "1"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_COHERENCE and out == ""
+        assert err.startswith("internal failure: ") and "E-system" in err
+
+
+def test_argparse_usage_error_goes_to_given_err(capsys):
+    code, out, err = run_cli("invariant", "--d", "2")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage: yhecke invariant") and "required" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_argparse_help_goes_to_given_out(capsys):
+    code, out, err = run_cli("trace", "--help")
+    assert code == EXIT_OK and err == ""
+    assert out.startswith("usage: yhecke trace") and "--eval-u" in out
+    assert capsys.readouterr() == ("", "")
+
+
 def test_json_output_identical_across_hash_seeds():
     cases = [
         # negative writhe: the body's denominator has a power of L = z - (1-u) zeta
@@ -229,3 +256,71 @@ def test_json_trace_generic_shape():
     assert data["trace"]["order"] == 2
     monos = {(t["z"], tuple(t["x"])) for t in data["trace"]["terms"]}
     assert monos == {(0, (0,)), (1, (0,)), (0, (2,))}
+
+
+# -- the shared record loop of invariant, trace and adelic --------------------
+
+CORPUS = str(GOLDEN / "corpus.txt")
+GOOD_RECORDS = [
+    ("unknot", "1:"),
+    ("trefoil", "1 1 1"),
+    ("hopf", "2: 1 1"),
+    ("unlink2", "2: -1 1 -1 1"),
+    ("figure8", "3: 1 -2 1 -2"),
+]
+RECORD_COMMANDS = [
+    ("invariant", "--d", "2", "--subset", "0,1"),
+    ("trace", "--d", "2"),
+    ("trace", "--d", "2", "--subset", "1"),
+    ("adelic", "--chain", "2,4", "--subset", "0"),
+]
+
+
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_corpus_text_lines_are_prefixed_single_braid_outputs(command):
+    code, out, err = run_cli(*command, "--corpus", CORPUS)
+    assert code == EXIT_OK
+    assert err.count("\n") == 1 and err.startswith("skipped: ") and "line 5" in err
+    expected = []
+    for name, braid in GOOD_RECORDS:
+        single_code, single_out, single_err = run_cli(*command, "--braid", braid)
+        assert single_code == EXIT_OK and single_err == ""
+        expected.extend(f"{name}: {line}\n" for line in single_out.splitlines())
+    assert out == "".join(expected)
+
+
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_corpus_json_keeps_errors_and_single_braid_entries(command):
+    code, out, err = run_cli(*command, "--corpus", CORPUS, "--format", "json")
+    assert code == EXIT_OK
+    assert err.startswith("skipped: ") and "line 5" in err
+    data = json.loads(out)
+    assert [entry["name"] for entry in data] == ["unknot", "trefoil", "hopf", "?", "unlink2", "figure8"]
+    assert set(data[3]) == {"name", "error"} and "line 5" in data[3]["error"]
+    good = data[:3] + data[4:]
+    for entry, (name, braid) in zip(good, GOOD_RECORDS):
+        _, single_out, _ = run_cli(*command, "--braid", braid, "--format", "json")
+        single = json.loads(single_out)
+        if command[0] == "adelic":
+            assert entry["levels"] == single
+            assert entry["chain"] == [2, 4] and entry["braid"] == braid_text(braid)
+        else:
+            assert single["name"] == "braid"
+            assert entry == dict(single, name=name)
+
+
+def braid_text(braid: str) -> str:
+    _, out, _ = run_cli("trace", "--d", "1", "--braid", braid, "--format", "json")
+    return json.loads(out)["braid"]
+
+
+def test_trace_numeric_evaluation_text():
+    code, out, err = run_cli(
+        "trace", "--d", "1", "--subset", "0", "--braid", "1 1 1", "--eval-u", "2", "--eval-z", "3"
+    )
+    assert code == EXIT_OK and err == ""
+    # frozen by hand: tr(g1^3) at u = 2, z = 3 is 12 - 6 - 4 + 3 + 2 = 7
+    assert out == (
+        "tr_1(2: 1 1 1) = z*u^2 - z*u - u^2 + z + u\n"
+        "approx at u=(2+0j), z=(3+0j): 7+0j (approximate)\n"
+    )

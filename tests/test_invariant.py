@@ -45,6 +45,19 @@ def test_lambda_identities(d, subset):
 
 
 @pytest.mark.parametrize("d,subset", PAIRS)
+def test_lambda_powers_in_closed_form_match_repeated_products(d, subset):
+    sol = solution_from_subset(d, subset)
+    lam = lambda_param(d, sol)
+    u, z = uz(d)
+    body = (z + 2 * u) / (u * (z - (1 - u) * zeta_value(sol)))
+    for k in range(-6, 7):
+        folded = value_scale_half(InvariantValue(d, 0, body), 2 * k, lam)
+        assert folded == InvariantValue(d, 0, body * lam**k)
+        odd = value_scale_half(InvariantValue(d, 0, body), 2 * k + 1, lam)
+        assert odd == InvariantValue(d, 1, body * lam**k)
+
+
+@pytest.mark.parametrize("d,subset", PAIRS)
 def test_normalization_times_sqrt_lambda_times_z_is_one(d, subset):
     sol = solution_from_subset(d, subset)
     lam = lambda_param(d, sol)

@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +270,40 @@ def test_rendering_is_sorted_and_stable():
     assert s == "1/2*g1 + 1/2*t1*t2*g1"
     assert str(AlgebraElement.zero(2, 2)) == "0"
     assert str(AlgebraElement.one(2, 2)) == "1"
+
+
+# -- basis word validation -----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "d,n,framings,perm",
+    [
+        (2, 2, (0, 0), (0, 0)),  # not a permutation
+        (2, 2, (0, 0), (0, 2)),
+        (2, 2, (0, 2), (0, 1)),  # framing out of range
+        (2, 2, (0,), (0, 1)),
+        (2, 2, (0, 0), (0, 1, 2)),
+        (0, 1, (0,), (0,)),
+    ],
+)
+def test_basis_word_rejects_invalid_data(d, n, framings, perm):
+    with pytest.raises(ValueError):
+        BasisWord(d, n, framings, perm)
+
+
+def test_basis_word_validation_survives_optimize():
+    """The checks are explicit raises, so python -O keeps them."""
+    import yhecke
+
+    src = str(Path(yhecke.__file__).resolve().parents[1])
+    code = (
+        "from yhecke.yokonuma import BasisWord\n"
+        "for args in ((2, 2, (0, 0), (0, 0)), (2, 2, (0, 5), (0, 1))):\n"
+        "    try:\n"
+        "        BasisWord(*args)\n"
+        "    except ValueError:\n"
+        "        print(__debug__, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised", "False", "raised"]
