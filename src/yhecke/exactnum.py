@@ -367,6 +367,12 @@ class LaurentU:
         return LaurentU(tuple(items))
 
     @staticmethod
+    def from_ints(coeffs: Mapping[int, int], den: int = 1) -> LaurentU:
+        """(1/den) * sum c u^e from integer coefficients, the form the
+        integer kernel of ``yokonuma`` and ``trace`` works in."""
+        return LaurentU(tuple((e, Fraction(c, den)) for e, c in sorted(coeffs.items()) if c))
+
+    @staticmethod
     def zero() -> LaurentU:
         return LaurentU(())
 
@@ -634,8 +640,10 @@ class PolyUZ:
 
     def __post_init__(self):
         for (ue, ze), c in self.terms:
-            assert ue >= 0 and ze >= 0
-            assert c.order == self.order and not c.is_zero()
+            if ue < 0 or ze < 0:
+                raise ValueError(f"negative exponent in u^{ue} z^{ze}")
+            if c.order != self.order or c.is_zero():
+                raise ValueError(f"coefficient {c} of u^{ue} z^{ze} is zero or not of order {self.order}")
 
     @staticmethod
     def from_dict(order: int, d: Mapping[_UZMono, Cyclotomic]) -> PolyUZ:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 from .braid import BraidWord, exponent_sum
 from .esystem import ESolution, solution_from_subset, zeta_value
@@ -38,9 +40,12 @@ class InvariantValue:
     body: RatFunc
 
     def __post_init__(self):
-        assert self.half in (0, 1)
-        assert self.body.order == self.order
-        assert not (self.body.is_zero() and self.half == 1)
+        if self.half not in (0, 1):
+            raise ValueError(f"half must be 0 or 1, got {self.half}")
+        if self.body.order != self.order:
+            raise ValueError(f"body has order {self.body.order}, expected {self.order}")
+        if self.body.is_zero() and self.half == 1:
+            raise ValueError("the zero invariant carries no sqrt(lambda)")
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
@@ -51,8 +56,14 @@ class InvariantValue:
 
 def lambda_param(d: int, sol: ESolution) -> RatFunc:
     """The rescaling factor (z - (1-u) zeta) / (u z) with zeta = 1/|S|."""
-    zeta = Cyclotomic.from_rational(d, zeta_value(sol))
-    ell = PolyUZ.from_dict(d, {(0, 1): Cyclotomic.one(d), (1, 0): zeta, (0, 0): -zeta})
+    return _lambda(d, zeta_value(sol))
+
+
+@lru_cache(maxsize=64)
+def _lambda(d: int, zeta: Fraction) -> RatFunc:
+    # lambda depends on the solution only through zeta
+    c = Cyclotomic.from_rational(d, zeta)
+    ell = PolyUZ.from_dict(d, {(0, 1): Cyclotomic.one(d), (1, 0): c, (0, 0): -c})
     return RatFunc.make(ell, PolyUZ.monomial(d, 1, 1))
 
 

@@ -13,6 +13,10 @@ Evaluation works basis word by basis word, reducing the strand count:
   t_{n-1}), and use cyclicity: tr(x g_{n-1} y) = z tr(y x) with x, y one
   strand down.
 
+Word traces are cached as integer triples over a power of d, the form of
+the integer kernel in ``yokonuma``; ``markov_trace`` converts to ``LaurentU``
+coefficients once, on return.
+
 Uniqueness of the trace is certified by the property suite (cyclicity and
 the two multiplicative rules on random elements) rather than assumed.
 """
@@ -22,25 +26,40 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .braid import BraidWord
-from .exactnum import RatFunc, TracePolynomial, trace_poly_substitute
+from .exactnum import LaurentU, RatFunc, TracePolynomial, trace_poly_substitute
 from .yokonuma import (
     AlgebraElement,
     BasisWord,
+    _Scaled,
+    _times_word,
+    canonical_reduced_word,
     compose,
-    multiply,
     represent_braid,
 )
 
 
+def _times_x(mono: tuple, d: int, m: int) -> tuple:
+    """A trace monomial (z-exponent, x-exponents) times x_m (x_0 = 1)."""
+    m %= d
+    if not m:
+        return mono
+    ze, xe = mono
+    return ze, xe[: m - 1] + (xe[m - 1] + 1,) + xe[m:]
+
+
 @lru_cache(maxsize=None)
-def _trace_word(word: BasisWord) -> TracePolynomial:
+def _trace_word(word: BasisWord) -> tuple[int, tuple[tuple[tuple, int, int], ...]]:
+    """tr(word) as (den, triples): tr(word) = (1/den) * sum c u^e mono over
+    its (mono, e, c) triples, den the least power of d that makes them
+    integers."""
     d, n = word.d, word.n
     fr, perm = word.framings, word.perm
     if n == 1:
-        return TracePolynomial.x_var(d, fr[0])
+        return 1, ((_times_x((0, (0,) * (d - 1)), d, fr[0]), 0, 1),)
     if perm[n - 1] == n - 1:
         sub = BasisWord(d, n - 1, fr[: n - 1], perm[: n - 1])
-        return TracePolynomial.x_var(d, fr[n - 1]) * _trace_word(sub)
+        den, triples = _trace_word(sub)
+        return den, tuple((_times_x(mono, d, fr[n - 1]), e, c) for mono, e, c in triples)
     # perm moves the last strand: perm = u . c_k with u fixing it and
     # c_k the cycle sending k to the last position (0-based k).
     k = perm.index(n - 1)
@@ -57,10 +76,32 @@ def _trace_word(word: BasisWord) -> TracePolynomial:
     y_fr = [0] * (n - 1)
     y_fr[n - 2] = fr[n - 1]
     y_word = BasisWord(d, n - 1, tuple(y_fr), y_perm)
-    prod = multiply(
-        AlgebraElement.from_word(y_word), AlgebraElement.from_word(x_word)
-    )
-    return TracePolynomial.z_var(d) * markov_trace(prod)
+    # tr(x g_{n-1} y) = z tr(y x)
+    den, acc = _trace_terms(_times_word({y_word: {0: 1}}, x_word))
+    den *= d ** len(canonical_reduced_word(x_word.perm))
+    triples = [((ze + 1, xe), e, c) for (ze, xe), poly in acc.items() for e, c in poly.items() if c]
+    while den > 1 and all(c % d == 0 for _, _, c in triples):
+        den //= d
+        triples = [(mono, e, c // d) for mono, e, c in triples]
+    return den, tuple(triples)
+
+
+def _trace_terms(terms: _Scaled) -> tuple[int, dict[tuple, dict[int, int]]]:
+    """The trace of integer-kernel terms as (den, {mono: {u-exponent: int}})."""
+    traces = [(poly, _trace_word(w)) for w, poly in terms.items()]
+    den = max((t[0] for _, t in traces), default=1)
+    acc: dict[tuple, dict[int, int]] = {}
+    for poly, (word_den, triples) in traces:
+        scale = den // word_den
+        for mono, e2, c2 in triples:
+            dst = acc.get(mono)
+            if dst is None:
+                dst = acc[mono] = {}
+            c2 *= scale
+            for e, c in poly.items():
+                k = e + e2
+                dst[k] = dst.get(k, 0) + c * c2
+    return den, acc
 
 
 def markov_trace(a: AlgebraElement) -> TracePolynomial:
@@ -72,13 +113,12 @@ def markov_trace(a: AlgebraElement) -> TracePolynomial:
     >>> str(markov_trace(generator(3, 2, 1)))
     'z'
     """
-    acc: dict = {}
-    for word, coeff in a.terms.items():
-        for mono, c in _trace_word(word).terms:
-            val = c * coeff
-            prev = acc.get(mono)
-            acc[mono] = val if prev is None else prev + val
-    return TracePolynomial.from_dict(a.d, acc)
+    terms, den = a.scaled()
+    trace_den, acc = _trace_terms(terms)
+    den *= trace_den
+    return TracePolynomial.from_dict(
+        a.d, {mono: LaurentU.from_ints(poly, den) for mono, poly in acc.items()}
+    )
 
 
 def trace_of_braid(d: int, b: BraidWord, sol=None) -> "TracePolynomial | RatFunc":

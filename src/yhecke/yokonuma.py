@@ -25,10 +25,27 @@ the quadratic relation
     e_i   = (1/d) sum_m t_i^m t_{i+1}^{-m},
 
 applied when a right multiplication by g_i shortens the permutation.
+
+Integer kernel
+--------------
+The only denominators are the powers of d that e_i brings in.  So
+products are formed over the integers: a product in progress is a map
+{basis word: {u-exponent: int}} read over a tracked denominator, and every
+cached table (``_word_times_g``, ``_word_times_letter``) holds
+d * word * letter as (word, u-exponent, int) triples.  A braid of k
+letters is thus collected over d^k.  A negative letter is rewritten
+directly from g_i^-1 = g_i - (u^-1 - 1) e_i + (u^-1 - 1) e_i g_i, where
+word * e_i is a sum of framing shifts over d; the sum is collected over
+d^2 and divided by d, each division checked (``InexactDivisionError``).
+``AlgebraElement`` keeps ``LaurentU`` coefficients: ``scaled`` and
+``from_scaled`` convert at the boundary, once per call of ``multiply``,
+``represent_braid`` or ``trace.markov_trace``.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -163,6 +180,14 @@ class BasisWord:
         return "*".join(factors) if factors else "1"
 
 
+# One instance per basis word in the kernel's tables, so that its dict
+# lookups match keys by identity instead of calling BasisWord.__eq__.
+_basis_word = lru_cache(maxsize=None)(BasisWord)
+
+# Integer-kernel terms: {word: {u-exponent: int}}, read over a denominator.
+_Scaled = dict
+
+
 def _sort_key(word: BasisWord):
     return (word.framings, word.perm)
 
@@ -199,6 +224,22 @@ class AlgebraElement:
     def from_word(word: BasisWord, coeff: Scalar | LaurentU = 1) -> AlgebraElement:
         lu = coeff if isinstance(coeff, LaurentU) else LaurentU.from_scalar(coeff)
         return AlgebraElement(word.d, word.n, {word: lu})
+
+    @staticmethod
+    def from_scaled(d: int, n: int, terms: _Scaled, den: int) -> AlgebraElement:
+        """The element (1/den) * sum c u^e w of integer-kernel terms."""
+        return AlgebraElement(
+            d, n, {w: LaurentU.from_ints(poly, den) for w, poly in terms.items()}
+        )
+
+    def scaled(self) -> tuple[_Scaled, int]:
+        """Integer-kernel terms and the common denominator den of the
+        coefficients: self = (1/den) * sum c u^e w."""
+        den = math.lcm(*(c.denominator for lu in self.terms.values() for _, c in lu.terms))
+        return {
+            w: {e: c.numerator * (den // c.denominator) for e, c in lu.terms}
+            for w, lu in self.terms.items()
+        }, den
 
     # -- structure -----------------------------------------------------------
 
@@ -276,50 +317,16 @@ class AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# Multiplication by rewriting.
+# The integer kernel: multiplication by rewriting.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _word_times_g(word: BasisWord, i: int) -> tuple[tuple[BasisWord, LaurentU], ...]:
-    """Right multiplication of a basis word by g_i (1-based), rewritten into
-    canonical basis words.  Cached: products recur constantly."""
-    d, n = word.d, word.n
-    p = i - 1
-    v = word.perm
-    if v[p] < v[p + 1]:
-        # length increases: t^a g_v g_i = t^a g_{v s_i}
-        return ((BasisWord(d, n, word.framings, _swap_positions(v, p)), LaurentU.from_scalar(1)),)
-    # length decreases: v = v' s_i with v' shorter, and
-    # g_v g_i = g_{v'} (1 + (u-1) e_i - (u-1) e_i g_i)
-    vp = _swap_positions(v, p)
-    fr = word.framings
-    acc: dict[BasisWord, LaurentU] = {}
-
-    def add(w: BasisWord, c: LaurentU):
-        acc[w] = acc.get(w, LaurentU.zero()) + c
-
-    add(BasisWord(d, n, fr, vp), LaurentU.from_scalar(1))
-    pos_a, pos_b = vp[p], vp[p + 1]
-    plus = laurent_u_minus_one() * Fraction(1, d)
-    minus = -plus
-    for m in range(d):
-        fr2 = list(fr)
-        fr2[pos_a] = (fr2[pos_a] + m) % d
-        fr2[pos_b] = (fr2[pos_b] - m) % d
-        fr2t = tuple(fr2)
-        add(BasisWord(d, n, fr2t, vp), plus)
-        add(BasisWord(d, n, fr2t, v), minus)
-    return tuple((w, c) for w, c in acc.items() if not c.is_zero())
+_U_MINUS_ONE = ((1, 1), (0, -1))
+_UINV_MINUS_ONE = ((-1, 1), (0, -1))
 
 
-def _terms_times_g(d: int, n: int, terms: dict[BasisWord, LaurentU], i: int) -> dict[BasisWord, LaurentU]:
-    out: dict[BasisWord, LaurentU] = {}
-    for w, c in terms.items():
-        for w2, c2 in _word_times_g(w, i):
-            prev = out.get(w2)
-            val = c * c2
-            out[w2] = val if prev is None else prev + val
-    return {w: c for w, c in out.items() if not c.is_zero()}
+class InexactDivisionError(ArithmeticError):
+    """A coefficient of the integer kernel that must be divisible by d was
+    not; the kernel would have lost exactness."""
 
 
 def _shift_framings(fr: tuple[int, ...], perm: tuple[int, ...],
@@ -333,26 +340,100 @@ def _shift_framings(fr: tuple[int, ...], perm: tuple[int, ...],
     return tuple(out)
 
 
+def _framing_shifts(word: BasisWord, i: int) -> list[BasisWord]:
+    """The words word * t_i^m t_{i+1}^-m for m in 0..d-1; d * word * e_i is
+    their sum."""
+    d, n = word.d, word.n
+    out = []
+    for m in range(d):
+        add = [0] * n
+        add[i - 1] = m
+        add[i] = (-m) % d
+        out.append(_basis_word(d, n, _shift_framings(word.framings, word.perm, tuple(add), d), word.perm))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _word_times_g(word: BasisWord, i: int) -> tuple[tuple[BasisWord, int, int], ...]:
+    """Right multiplication of a basis word by g_i (1-based), rewritten into
+    canonical basis words: d * word * g_i as (word, u-exponent, int) triples.
+    Cached: products recur constantly."""
+    d, n = word.d, word.n
+    p = i - 1
+    v = word.perm
+    swapped = _basis_word(d, n, word.framings, _swap_positions(v, p))
+    if v[p] < v[p + 1]:
+        # length increases: t^a g_v g_i = t^a g_{v s_i}
+        return ((swapped, 0, d),)
+    # length decreases: v = v' s_i with v' shorter, and
+    # g_v g_i = g_{v'} (1 + (u-1) e_i - (u-1) e_i g_i), where each framing
+    # shift t^b g_{v'} of g_{v'} e_i gives t^b g_{v'} g_i = t^b g_v
+    acc: Counter = Counter()
+    acc[swapped, 0] += d
+    for shifted in _framing_shifts(swapped, i):
+        longer = _basis_word(d, n, shifted.framings, v)
+        for e, c in _U_MINUS_ONE:
+            acc[shifted, e] += c
+            acc[longer, e] -= c
+    return tuple((w, e, c) for (w, e), c in acc.items() if c)
+
+
+def _right_multiply(terms: _Scaled, table, arg: int) -> _Scaled:
+    """Every word of ``terms`` times one letter, through a cached table that
+    is scaled by d; so the result is scaled by one more factor of d."""
+    out: _Scaled = {}
+    for w, poly in terms.items():
+        for w2, e2, c2 in table(w, arg):
+            dst = out.get(w2)
+            if dst is None:
+                dst = out[w2] = {}
+            for e, c in poly.items():
+                k = e + e2
+                dst[k] = dst.get(k, 0) + c * c2
+    return _pruned(out)
+
+
+def _pruned(terms: _Scaled) -> _Scaled:
+    out: _Scaled = {}
+    for w, poly in terms.items():
+        kept = {e: c for e, c in poly.items() if c}
+        if kept:
+            out[w] = kept
+    return out
+
+
+def _times_word(terms: _Scaled, word: BasisWord) -> _Scaled:
+    """terms * word, scaled by d^l where l is the length of word's permutation:
+    first absorb the t-monomial, then the g-word letter by letter."""
+    d, n = word.d, word.n
+    cur = {
+        _basis_word(d, n, _shift_framings(w.framings, w.perm, word.framings, d), w.perm): poly
+        for w, poly in terms.items()
+    }
+    for i in canonical_reduced_word(word.perm):
+        cur = _right_multiply(cur, _word_times_g, i)
+    return cur
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The product in Y_{d,n}, collected in canonical basis words."""
     a._check_compatible(b)
     d, n = a.d, a.n
-    out: dict[BasisWord, LaurentU] = {}
-    for w2, c2 in b.terms.items():
-        # a * (t^{a2} g_{w2}): first absorb the t-monomial, then the g-word.
-        cur: dict[BasisWord, LaurentU] = {}
-        for w1, c1 in a.terms.items():
-            fr = _shift_framings(w1.framings, w1.perm, w2.framings, d)
-            key = BasisWord(d, n, fr, w1.perm)
-            prev = cur.get(key)
-            cur[key] = c1 if prev is None else prev + c1
-        for i in canonical_reduced_word(w2.perm):
-            cur = _terms_times_g(d, n, cur, i)
-        for w, c in cur.items():
-            val = c * c2
-            prev = out.get(w)
-            out[w] = val if prev is None else prev + val
-    return AlgebraElement(d, n, out)
+    left, den_a = a.scaled()
+    right, den_b = b.scaled()
+    top = max((len(canonical_reduced_word(w.perm)) for w in right), default=0)
+    out: _Scaled = {}
+    for w2, poly2 in right.items():
+        scale = d ** (top - len(canonical_reduced_word(w2.perm)))
+        for w, poly in _times_word(left, w2).items():
+            dst = out.get(w)
+            if dst is None:
+                dst = out[w] = {}
+            for e, c in poly.items():
+                for e2, c2 in poly2.items():
+                    k = e + e2
+                    dst[k] = dst.get(k, 0) + c * c2 * scale
+    return AlgebraElement.from_scaled(d, n, _pruned(out), den_a * den_b * d**top)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +479,7 @@ def idempotent_e(d: int, n: int, i: int) -> AlgebraElement:
 def generator_inverse(d: int, n: int, i: int) -> AlgebraElement:
     """g_i^-1 = g_i - (u^-1 - 1) e_i + (u^-1 - 1) e_i g_i."""
     _check_gen_index(n, i)
-    g = generator(d, n, i)
-    e = idempotent_e(d, n, i)
-    w = laurent_uinv_minus_one()
-    return g - e.scale(w) + multiply(e, g).scale(w)
+    return _letter_image(d, n, -i)
 
 
 def power_formula(d: int, n: int, i: int, m: int) -> AlgebraElement:
@@ -435,36 +513,74 @@ def power_formula(d: int, n: int, i: int, m: int) -> AlgebraElement:
     return g - e.scale(beta) + eg.scale(beta)
 
 
+def _divide_by_d(acc: Counter, d: int) -> tuple[tuple[BasisWord, int, int], ...]:
+    """The {(word, u-exponent): int} of ``acc`` as triples divided by d,
+    each division checked."""
+    out = []
+    for (w, e), c in acc.items():
+        q, r = divmod(c, d)
+        if r:
+            raise InexactDivisionError(f"coefficient {c} of {w} u^{e} is not divisible by d={d}")
+        if q:
+            out.append((w, e, q))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _word_times_letter(word: BasisWord, letter: int) -> tuple[tuple[BasisWord, int, int], ...]:
+    """d * word * g_i for a letter i > 0 and d * word * g_i^-1 for -i, as
+    (word, u-exponent, int) triples, rewritten directly.
+
+    g_i^-1 = g_i - (u^-1 - 1) e_i + (u^-1 - 1) e_i g_i, where word * e_i is
+    a sum of framing shifts over d.  The sum is collected at scale d^2 and
+    divided by d; e_i^2 = e_i makes that division exact.
+    """
+    if letter > 0:
+        return _word_times_g(word, letter)
+    i = -letter
+    d = word.d
+    acc: Counter = Counter()
+    for w, e, c in _word_times_g(word, i):
+        acc[w, e] += d * c
+    for shifted in _framing_shifts(word, i):
+        for e, c in _UINV_MINUS_ONE:
+            acc[shifted, e] -= d * c
+        for w, e2, c2 in _word_times_g(shifted, i):
+            for e, c in _UINV_MINUS_ONE:
+                acc[w, e + e2] += c * c2
+    return _divide_by_d(acc, d)
+
+
 @lru_cache(maxsize=None)
 def _letter_image(d: int, n: int, letter: int) -> AlgebraElement:
-    i = abs(letter)
-    return generator(d, n, i) if letter > 0 else generator_inverse(d, n, i)
-
-
-@lru_cache(maxsize=None)
-def _word_times_letter(word: BasisWord, letter: int) -> tuple[tuple[BasisWord, LaurentU], ...]:
-    prod = multiply(
-        AlgebraElement.from_word(word), _letter_image(word.d, word.n, letter)
-    )
-    return tuple(prod.terms.items())
+    """The image of one braid letter: g_i, or g_i^-1 from its rewriting."""
+    return represent_braid(d, BraidWord(n, (letter,)))
 
 
 def represent_braid(d: int, b: BraidWord) -> AlgebraElement:
     """Image of a braid word in Y_{d,n}: each positive letter maps to g_i,
-    each negative letter to the inverse formula, multiplied left to right."""
+    each negative letter to the inverse formula, multiplied left to right.
+
+    The product is formed over the integers, scaled by d per letter, and
+    divided out once on return.  For d = 2, 2 * g1^-1 as integer triples
+    (word, u-exponent, coefficient), and the image of g1^-1:
+
+    >>> from .braid import parse_braid
+    >>> one = BasisWord(2, 2, (0, 0), (0, 1))
+    >>> sorted((str(w), e, c) for w, e, c in _word_times_letter(one, -1))
+    ... # doctest: +NORMALIZE_WHITESPACE
+    [('1', -1, -1), ('1', 0, 1), ('g1', -1, 1), ('g1', 0, 1),
+     ('t1*t2', -1, -1), ('t1*t2', 0, 1), ('t1*t2*g1', -1, 1), ('t1*t2*g1', 0, -1)]
+    >>> print(represent_braid(2, parse_braid("-1")))
+    (1/2 - 1/2*u^-1) + (1/2 + 1/2*u^-1)*g1 + (1/2 - 1/2*u^-1)*t1*t2 + (-1/2 + 1/2*u^-1)*t1*t2*g1
+    >>> represent_braid(2, parse_braid("1 -1")) == AlgebraElement.one(2, 2)
+    True
+    """
     n = b.strands
-    cur: dict[BasisWord, LaurentU] = {
-        BasisWord(d, n, (0,) * n, identity_perm(n)): LaurentU.from_scalar(1)
-    }
+    cur: _Scaled = {_basis_word(d, n, (0,) * n, identity_perm(n)): {0: 1}}
     for k in b.letters:
-        nxt: dict[BasisWord, LaurentU] = {}
-        for w, c in cur.items():
-            for w2, c2 in _word_times_letter(w, k):
-                val = c * c2
-                prev = nxt.get(w2)
-                nxt[w2] = val if prev is None else prev + val
-        cur = {w: c for w, c in nxt.items() if not c.is_zero()}
-    return AlgebraElement(d, n, cur)
+        cur = _right_multiply(cur, _word_times_letter, k)
+    return AlgebraElement.from_scaled(d, n, cur, d ** len(b.letters))
 
 
 def embed(a: AlgebraElement, n_new: int) -> AlgebraElement:

@@ -437,3 +437,10 @@ def test_substitution_clears_negative_u_powers():
     # (u^-2 + 3u) = (1 + 3u^3)/u^2
     u = RatFunc.u_var(d)
     assert f == (1 + 3 * u**3) / u**2
+
+
+def test_laurent_from_ints_divides_by_the_denominator():
+    lu = LaurentU.from_ints({2: 3, 0: 0, -1: -4}, 6)
+    assert lu == LaurentU.from_dict({2: Fraction(1, 2), -1: Fraction(-2, 3)})
+    assert lu.terms[0] == (-1, Fraction(-2, 3))
+    assert LaurentU.from_ints({5: 0}) == LaurentU.zero()

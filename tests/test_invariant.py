@@ -4,14 +4,18 @@ Markov-move invariance, the cubic skein relation, and the d = 1
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import random_braid, random_conjugator
 from yhecke.braid import BraidWord, markov_conjugate, markov_stabilize, parse_braid
 from yhecke.esystem import solution_from_subset, zeta_value
-from yhecke.exactnum import RatFunc
+from yhecke.exactnum import Cyclotomic, PolyUZ, RatFunc
 from yhecke.invariant import (
     InvariantValue,
     delta_invariant,
@@ -225,3 +229,45 @@ def test_rendering():
     sol = solution_from_subset(1, {0})
     v = delta_invariant(1, sol, BraidWord(1, ()))
     assert str(v) == "sqrtLambda^0 * ((1) / (1))"
+
+
+def test_invalid_values_rejected():
+    with pytest.raises(ValueError):
+        InvariantValue(2, 5, RatFunc.from_scalar(2, 1))  # half not in {0, 1}
+    with pytest.raises(ValueError):
+        InvariantValue(2, 0, RatFunc.from_scalar(3, 1))  # body of another order
+    with pytest.raises(ValueError):
+        InvariantValue(2, 1, RatFunc.from_scalar(2, 0))  # zero with sqrt(lambda)
+    with pytest.raises(ValueError):
+        PolyUZ(2, (((-1, 0), Cyclotomic.one(2)),))
+    with pytest.raises(ValueError):
+        PolyUZ(2, (((0, 1), Cyclotomic.one(3)),))
+
+
+def test_invalid_values_rejected_under_optimize():
+    """The checks are explicit raises, so python -O keeps them."""
+    import yhecke
+
+    src = str(Path(yhecke.__file__).resolve().parents[1])
+    code = (
+        "from yhecke.exactnum import Cyclotomic, PolyUZ, RatFunc\n"
+        "from yhecke.invariant import InvariantValue\n"
+        "for make in (lambda: InvariantValue(2, 5, RatFunc.from_scalar(3, 1)),\n"
+        "             lambda: InvariantValue(2, 5, RatFunc.from_scalar(2, 1)),\n"
+        "             lambda: PolyUZ(2, (((0, -1), Cyclotomic.one(2)),))):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError:\n"
+        "        print(__debug__, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised"] * 3
+
+
+def test_lambda_is_shared_by_solutions_with_one_zeta():
+    a = lambda_param(4, solution_from_subset(4, {0, 2}))
+    b = lambda_param(4, solution_from_subset(4, {1, 3}))
+    assert a is b
+    assert lambda_param(4, solution_from_subset(4, {0})) != a

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_element
+from conftest import random_braid, random_element
 from yhecke.braid import parse_braid
 from yhecke.esystem import enumerate_subsets, solution_from_subset, zeta_value
 from yhecke.exactnum import (
@@ -27,6 +27,7 @@ from yhecke.yokonuma import (
     generator_inverse,
     idempotent_e,
     multiply,
+    represent_braid,
 )
 
 
@@ -207,3 +208,26 @@ def test_trace_inverse_rule_under_solutions(d):
             )
             rhs = factor * trace_poly_substitute(markov_trace(a), sol)
             assert lhs == rhs
+
+
+# -- the integer kernel ----------------------------------------------------------
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 3), (4, 2), (4, 3), (2, 4), (4, 4)])
+def test_trace_is_cyclic_on_braid_images_and_rational_elements(d, n):
+    rng = random.Random(1000 * d + n)
+    for _ in range(4):
+        a = represent_braid(d, random_braid(rng, n, len_max=5))
+        b = represent_braid(d, random_braid(rng, n, len_max=5))
+        assert markov_trace(multiply(a, b)) == markov_trace(multiply(b, a))
+        # coefficients with denominators that are not powers of d
+        c = random_element(rng, d, n)
+        assert markov_trace(multiply(a, c)) == markov_trace(multiply(c, a))
+
+
+def test_trace_of_rational_element_is_linear():
+    rng = random.Random(7)
+    for d, n in ((2, 3), (3, 3), (4, 3)):
+        a = random_element(rng, d, n)
+        b = random_element(rng, d, n)
+        c = LaurentU.from_dict({-1: Fraction(2, 3), 2: Fraction(-5, 7)})
+        assert markov_trace(a.scale(c) + b) == markov_trace(a).scale(c) + markov_trace(b)

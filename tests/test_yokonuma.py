@@ -14,12 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_element
+from conftest import random_braid, random_element
 from yhecke.braid import BraidWord, parse_braid
 from yhecke.exactnum import LaurentU, laurent_u_minus_one
 from yhecke.yokonuma import (
     AlgebraElement,
     BasisWord,
+    InexactDivisionError,
+    _divide_by_d,
+    _word_times_letter,
     canonical_reduced_word,
     compose,
     embed,
@@ -307,3 +310,109 @@ def test_basis_word_validation_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "raised", "False", "raised"]
+
+
+# -- the integer kernel ----------------------------------------------------------
+
+KERNEL_ALGEBRAS = [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4)]
+
+
+@pytest.mark.parametrize("d,n", KERNEL_ALGEBRAS)
+def test_represent_braid_times_inverse_is_one(d, n):
+    rng = random.Random(31 * d + n)
+    for _ in range(4):
+        letters = random_braid(rng, n, len_max=6).letters
+        inverse = tuple(-k for k in reversed(letters))
+        assert represent_braid(d, BraidWord(n, letters + inverse)) == AlgebraElement.one(d, n)
+        assert represent_braid(d, BraidWord(n, inverse + letters)) == AlgebraElement.one(d, n)
+
+
+@pytest.mark.parametrize("d,n", KERNEL_ALGEBRAS)
+def test_represent_braid_of_concatenation_is_product(d, n):
+    rng = random.Random(37 * d + n)
+    for _ in range(4):
+        b1 = random_braid(rng, n, len_max=5, min_len=0)
+        b2 = random_braid(rng, n, len_max=5, min_len=0)
+        both = BraidWord(n, b1.letters + b2.letters)
+        assert represent_braid(d, both) == multiply(represent_braid(d, b1), represent_braid(d, b2))
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3, 4) for n in (2, 3)])
+def test_letter_tables_are_integral_and_match_the_algebra(d, n):
+    """Every d * word * g_i^(+-1) table, over the whole basis, has integer
+    coefficients and equals the product formed in the algebra, with g_i^-1
+    taken from the cubic relation g^-1 = u^-1 g^2 + g - u^-1."""
+    uinv = LaurentU.u(-1)
+    one = AlgebraElement.one(d, n)
+    images = {}
+    for i in range(1, n):
+        g = generator(d, n, i)
+        images[i] = g
+        images[-i] = multiply(g, g).scale(uinv) + g - one.scale(uinv)
+    for framings in itertools.product(range(d), repeat=n):
+        for perm in itertools.permutations(range(n)):
+            word = BasisWord(d, n, framings, perm)
+            for letter, image in images.items():
+                table = _word_times_letter(word, letter)
+                assert all(type(e) is int and type(c) is int and c for _, e, c in table)
+                terms: dict = {}
+                for w, e, c in table:
+                    terms.setdefault(w, {})[e] = c
+                expected = multiply(AlgebraElement.from_word(word), image)
+                assert AlgebraElement.from_scaled(d, n, terms, d) == expected
+
+
+def test_inexact_division_by_d_raises():
+    word = BasisWord(2, 2, (0, 0), (0, 1))
+    assert _divide_by_d({(word, 0): 4, (word, 1): -2}, 2) == ((word, 0, 2), (word, 1, -1))
+    with pytest.raises(InexactDivisionError):
+        _divide_by_d({(word, 0): 4, (word, 1): 3}, 2)
+
+
+def test_inexact_division_by_d_raises_under_optimize():
+    import yhecke
+
+    src = str(Path(yhecke.__file__).resolve().parents[1])
+    code = (
+        "from yhecke.yokonuma import BasisWord, InexactDivisionError, _divide_by_d\n"
+        "word = BasisWord(3, 2, (0, 0), (0, 1))\n"
+        "try:\n"
+        "    _divide_by_d({(word, 0): 3, (word, 2): 5}, 3)\n"
+        "except InexactDivisionError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised"]
+
+
+def test_inexact_division_is_an_internal_failure_at_the_cli(monkeypatch):
+    import io
+
+    import yhecke.cli as cli
+    import yhecke.yokonuma as yokonuma
+
+    def inexact(acc, d):
+        raise InexactDivisionError("coefficient 1 is not divisible by d=2")
+
+    yokonuma._word_times_letter.cache_clear()
+    monkeypatch.setattr(yokonuma, "_divide_by_d", inexact)
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["trace", "--d", "2", "--braid", "-1"], out, err)
+    finally:
+        yokonuma._word_times_letter.cache_clear()
+    assert code == cli.EXIT_COHERENCE and out.getvalue() == ""
+    assert err.getvalue().startswith("internal failure: ")
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 3), (4, 3)])
+def test_scaled_form_round_trips(d, n):
+    rng = random.Random(41 * d + n)
+    for _ in range(10):
+        a = random_element(rng, d, n)
+        terms, den = a.scaled()
+        assert all(type(c) is int for poly in terms.values() for c in poly.values())
+        assert AlgebraElement.from_scaled(d, n, terms, den) == a
+    assert AlgebraElement.zero(d, n).scaled() == ({}, 1)
