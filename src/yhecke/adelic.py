@@ -82,12 +82,12 @@ def rho(d: int, d_prime: int, a: AlgebraElement) -> AlgebraElement:
     _check_divides(d, d_prime)
     if a.d != d_prime:
         raise ValueError(f"element lives in Y_({a.d},{a.n}), expected modulus {d_prime}")
-    out: dict[BasisWord, LaurentU] = {}
-    for w, c in a.terms.items():
-        key = BasisWord(d, a.n, tuple(f % d for f in w.framings), w.perm)
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-    return AlgebraElement(d, a.n, out)
+    out: dict[BasisWord, dict[int, int]] = {}
+    for w, poly in a.int_terms.items():
+        dst = out.setdefault(BasisWord(d, a.n, tuple(f % d for f in w.framings), w.perm), {})
+        for e, c in poly.items():
+            dst[e] = dst.get(e, 0) + c
+    return AlgebraElement.from_ints(d, a.n, out, a.den)
 
 
 def xi(d: int, d_prime: int, p: TracePolynomial) -> TracePolynomial:

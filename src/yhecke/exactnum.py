@@ -152,8 +152,8 @@ class Cyclotomic:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert self.order >= 1
-        assert len(self.coeffs) == euler_phi(self.order)
+        if self.order < 1 or len(self.coeffs) != euler_phi(self.order):
+            raise ValueError(f"order {self.order} needs phi(order) coefficients, got {len(self.coeffs)}")
 
     # -- constructors -------------------------------------------------------
 
@@ -499,8 +499,8 @@ class TracePolynomial:
     def __post_init__(self):
         nx = self.order - 1
         for (ze, xe), c in self.terms:
-            assert ze >= 0 and len(xe) == nx and all(e >= 0 for e in xe)
-            assert not c.is_zero()
+            if ze < 0 or len(xe) != nx or any(e < 0 for e in xe) or c.is_zero():
+                raise ValueError(f"invalid term z^{ze} x^{xe} with coefficient {c} at order {self.order}")
 
     @staticmethod
     def from_dict(order: int, d: Mapping[_TMono, LaurentU]) -> TracePolynomial:

@@ -13,9 +13,9 @@ Evaluation works basis word by basis word, reducing the strand count:
   t_{n-1}), and use cyclicity: tr(x g_{n-1} y) = z tr(y x) with x, y one
   strand down.
 
-Word traces are cached as integer triples over a power of d, the form of
-the integer kernel in ``yokonuma``; ``markov_trace`` converts to ``LaurentU``
-coefficients once, on return.
+Word traces are cached as integer triples over a power of d, the integer
+form ``yokonuma`` stores elements in; ``markov_trace`` reads it directly and
+builds ``LaurentU`` coefficients only for the returned polynomial.
 
 Uniqueness of the trace is certified by the property suite (cyclicity and
 the two multiplicative rules on random elements) rather than assumed.
@@ -113,9 +113,8 @@ def markov_trace(a: AlgebraElement) -> TracePolynomial:
     >>> str(markov_trace(generator(3, 2, 1)))
     'z'
     """
-    terms, den = a.scaled()
-    trace_den, acc = _trace_terms(terms)
-    den *= trace_den
+    trace_den, acc = _trace_terms(a.int_terms)
+    den = a.den * trace_den
     return TracePolynomial.from_dict(
         a.d, {mono: LaurentU.from_ints(poly, den) for mono, poly in acc.items()}
     )

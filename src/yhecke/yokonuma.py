@@ -37,9 +37,9 @@ letters is thus collected over d^k.  A negative letter is rewritten
 directly from g_i^-1 = g_i - (u^-1 - 1) e_i + (u^-1 - 1) e_i g_i, where
 word * e_i is a sum of framing shifts over d; the sum is collected over
 d^2 and divided by d, each division checked (``InexactDivisionError``).
-``AlgebraElement`` keeps ``LaurentU`` coefficients: ``scaled`` and
-``from_scaled`` convert at the boundary, once per call of ``multiply``,
-``represent_braid`` or ``trace.markov_trace``.
+``AlgebraElement`` stores this form itself, in lowest terms, so
+``multiply``, ``represent_braid`` and ``trace.markov_trace`` pass it on
+without conversion; ``LaurentU`` appears only in the rational API.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ def is_permutation(p: tuple[int, ...]) -> bool:
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p * q)(j) = p(q(j)): q acts first."""
     return tuple(p[q[j]] for j in range(len(p)))
-
-
-def inverse_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for j, pj in enumerate(p):
-        inv[pj] = j
-    return tuple(inv)
 
 
 def perm_length(p: tuple[int, ...]) -> int:
@@ -192,23 +185,42 @@ def _sort_key(word: BasisWord):
     return (word.framings, word.perm)
 
 
-class AlgebraElement:
-    """A finite linear combination of basis words with LaurentU coefficients.
+def _int_form(lus: Mapping) -> tuple[dict, int]:
+    """lus as integer terms {key: {u-exponent: int}} over their least common denominator."""
+    den = math.lcm(*(c.denominator for lu in lus.values() for _, c in lu.terms))
+    return {k: {e: c.numerator * (den // c.denominator) for e, c in lu.terms} for k, lu in lus.items()}, den
 
-    Instances are immutable by convention: no method mutates ``terms`` after
-    construction, so elements are safe to share, hash-free, and cacheable.
+
+class AlgebraElement:
+    """A finite linear combination of basis words over Q[u, u^-1], stored in
+    the integer kernel's form (1/den) * sum c u^e w over ``int_terms``
+    {word: {u-exponent: int}}.  The form is canonical, so equality is
+    structural: no zero coefficient is stored and den > 0 is coprime to the
+    coefficients (zero is {} over 1).  ``terms`` is the rational view
+    {word: LaurentU}, built when read.  No method mutates an element.
     """
 
-    __slots__ = ("d", "n", "terms")
+    __slots__ = ("d", "n", "int_terms", "den")
 
     def __init__(self, d: int, n: int, terms: Mapping[BasisWord, LaurentU]):
-        self.d = d
-        self.n = n
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
-        for w in self.terms:
-            assert w.d == d and w.n == n
+        for w in terms:
+            if (w.d, w.n) != (d, n):
+                raise ValueError(f"basis word {w} of Y_({w.d},{w.n}) in an element of Y_({d},{n})")
+        self._store(d, n, *_int_form(terms))
+
+    def _store(self, d: int, n: int, terms: _Scaled, den: int):
+        g = math.gcd(den, *(c for poly in terms.values() for c in poly.values()))
+        terms = {w: kept for w, poly in terms.items() if (kept := {e: c // g for e, c in poly.items() if c})}
+        self.d, self.n, self.int_terms, self.den = d, n, terms, den // g
 
     # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def from_ints(d: int, n: int, terms: _Scaled, den: int) -> AlgebraElement:
+        """The element (1/den) * sum c u^e w of integer-kernel terms."""
+        a = object.__new__(AlgebraElement)
+        a._store(d, n, terms, den)
+        return a
 
     @staticmethod
     def zero(d: int, n: int) -> AlgebraElement:
@@ -216,35 +228,21 @@ class AlgebraElement:
 
     @staticmethod
     def one(d: int, n: int) -> AlgebraElement:
-        return AlgebraElement.from_word(
-            BasisWord(d, n, (0,) * n, identity_perm(n))
-        )
+        return AlgebraElement.from_ints(d, n, {BasisWord(d, n, (0,) * n, identity_perm(n)): {0: 1}}, 1)
 
     @staticmethod
     def from_word(word: BasisWord, coeff: Scalar | LaurentU = 1) -> AlgebraElement:
         lu = coeff if isinstance(coeff, LaurentU) else LaurentU.from_scalar(coeff)
         return AlgebraElement(word.d, word.n, {word: lu})
 
-    @staticmethod
-    def from_scaled(d: int, n: int, terms: _Scaled, den: int) -> AlgebraElement:
-        """The element (1/den) * sum c u^e w of integer-kernel terms."""
-        return AlgebraElement(
-            d, n, {w: LaurentU.from_ints(poly, den) for w, poly in terms.items()}
-        )
-
-    def scaled(self) -> tuple[_Scaled, int]:
-        """Integer-kernel terms and the common denominator den of the
-        coefficients: self = (1/den) * sum c u^e w."""
-        den = math.lcm(*(c.denominator for lu in self.terms.values() for _, c in lu.terms))
-        return {
-            w: {e: c.numerator * (den // c.denominator) for e, c in lu.terms}
-            for w, lu in self.terms.items()
-        }, den
+    @property
+    def terms(self) -> dict[BasisWord, LaurentU]:
+        return {w: LaurentU.from_ints(poly, self.den) for w, poly in self.int_terms.items()}
 
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.int_terms
 
     def _check_compatible(self, other: AlgebraElement):
         if (self.d, self.n) != (other.d, other.n):
@@ -255,17 +253,20 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (self.d, self.n) == (other.d, other.n) and self.terms == other.terms
+        return (self.d, self.n, self.den, self.int_terms) == (other.d, other.n, other.den, other.int_terms)
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         self._check_compatible(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, LaurentU.zero()) + c
-        return AlgebraElement(self.d, self.n, acc)
+        den = math.lcm(self.den, other.den)
+        acc: _Scaled = {}
+        for a in (self, other):
+            for w, poly in a.int_terms.items():
+                _add_product(acc.setdefault(w, {}), poly, {0: den // a.den})
+        return AlgebraElement.from_ints(self.d, self.n, acc, den)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.d, self.n, {w: -c for w, c in self.terms.items()})
+        neg = {w: {e: -c for e, c in poly.items()} for w, poly in self.int_terms.items()}
+        return AlgebraElement.from_ints(self.d, self.n, neg, self.den)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         return self + (-other)
@@ -292,14 +293,19 @@ class AlgebraElement:
 
     def scale(self, c: Scalar | LaurentU) -> AlgebraElement:
         lu = c if isinstance(c, LaurentU) else LaurentU.from_scalar(c)
-        return AlgebraElement(self.d, self.n, {w: co * lu for w, co in self.terms.items()})
+        factor, den = _int_form({0: lu})
+        out: _Scaled = {}
+        for w, poly in self.int_terms.items():
+            _add_product(out.setdefault(w, {}), poly, factor[0])
+        return AlgebraElement.from_ints(self.d, self.n, out, self.den * den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for w in sorted(self.terms, key=_sort_key):
-            c = self.terms[w]
+        for w in sorted(terms, key=_sort_key):
+            c = terms[w]
             cs = str(c)
             ws = str(w)
             if ws == "1":
@@ -393,6 +399,14 @@ def _right_multiply(terms: _Scaled, table, arg: int) -> _Scaled:
     return _pruned(out)
 
 
+def _add_product(dst: dict[int, int], p: dict[int, int], q: dict[int, int], scale: int = 1):
+    """dst += scale * p * q for u-polynomials {u-exponent: int}."""
+    for e, c in p.items():
+        for e2, c2 in q.items():
+            k = e + e2
+            dst[k] = dst.get(k, 0) + c * c2 * scale
+
+
 def _pruned(terms: _Scaled) -> _Scaled:
     out: _Scaled = {}
     for w, poly in terms.items():
@@ -419,21 +433,14 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The product in Y_{d,n}, collected in canonical basis words."""
     a._check_compatible(b)
     d, n = a.d, a.n
-    left, den_a = a.scaled()
-    right, den_b = b.scaled()
+    right = b.int_terms
     top = max((len(canonical_reduced_word(w.perm)) for w in right), default=0)
     out: _Scaled = {}
     for w2, poly2 in right.items():
         scale = d ** (top - len(canonical_reduced_word(w2.perm)))
-        for w, poly in _times_word(left, w2).items():
-            dst = out.get(w)
-            if dst is None:
-                dst = out[w] = {}
-            for e, c in poly.items():
-                for e2, c2 in poly2.items():
-                    k = e + e2
-                    dst[k] = dst.get(k, 0) + c * c2 * scale
-    return AlgebraElement.from_scaled(d, n, _pruned(out), den_a * den_b * d**top)
+        for w, poly in _times_word(a.int_terms, w2).items():
+            _add_product(out.setdefault(w, {}), poly, poly2, scale)
+    return AlgebraElement.from_ints(d, n, out, a.den * b.den * d**top)
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +472,8 @@ def framing_generator(d: int, n: int, j: int, m: int = 1) -> AlgebraElement:
 def idempotent_e(d: int, n: int, i: int) -> AlgebraElement:
     """The idempotent e_i = (1/d) sum_{m} t_i^m t_{i+1}^{-m}."""
     _check_gen_index(n, i)
-    coeff = LaurentU.from_scalar(Fraction(1, d))
-    terms: dict[BasisWord, LaurentU] = {}
-    ident = identity_perm(n)
-    for m in range(d):
-        fr = [0] * n
-        fr[i - 1] = m % d
-        fr[i] = (-m) % d
-        terms[BasisWord(d, n, tuple(fr), ident)] = coeff
-    return AlgebraElement(d, n, terms)
+    one = BasisWord(d, n, (0,) * n, identity_perm(n))
+    return AlgebraElement.from_ints(d, n, {w: {0: 1} for w in _framing_shifts(one, i)}, d)
 
 
 def generator_inverse(d: int, n: int, i: int) -> AlgebraElement:
@@ -562,7 +562,7 @@ def represent_braid(d: int, b: BraidWord) -> AlgebraElement:
     each negative letter to the inverse formula, multiplied left to right.
 
     The product is formed over the integers, scaled by d per letter, and
-    divided out once on return.  For d = 2, 2 * g1^-1 as integer triples
+    kept over d^k in lowest terms.  For d = 2, 2 * g1^-1 as integer triples
     (word, u-exponent, coefficient), and the image of g1^-1:
 
     >>> from .braid import parse_braid
@@ -580,7 +580,7 @@ def represent_braid(d: int, b: BraidWord) -> AlgebraElement:
     cur: _Scaled = {_basis_word(d, n, (0,) * n, identity_perm(n)): {0: 1}}
     for k in b.letters:
         cur = _right_multiply(cur, _word_times_letter, k)
-    return AlgebraElement.from_scaled(d, n, cur, d ** len(b.letters))
+    return AlgebraElement.from_ints(d, n, cur, d ** len(b.letters))
 
 
 def embed(a: AlgebraElement, n_new: int) -> AlgebraElement:
@@ -594,7 +594,7 @@ def embed(a: AlgebraElement, n_new: int) -> AlgebraElement:
             n_new,
             w.framings + (0,) * pad,
             w.perm + tuple(range(a.n, n_new)),
-        ): c
-        for w, c in a.terms.items()
+        ): poly
+        for w, poly in a.int_terms.items()
     }
-    return AlgebraElement(a.d, n_new, terms)
+    return AlgebraElement.from_ints(a.d, n_new, terms, a.den)

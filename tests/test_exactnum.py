@@ -444,3 +444,37 @@ def test_laurent_from_ints_divides_by_the_denominator():
     assert lu == LaurentU.from_dict({2: Fraction(1, 2), -1: Fraction(-2, 3)})
     assert lu.terms[0] == (-1, Fraction(-2, 3))
     assert LaurentU.from_ints({5: 0}) == LaurentU.zero()
+
+
+INVALID_EXACT_VALUES = (
+    # a negative z-exponent, two x-exponents at order 2, a zero coefficient
+    "TracePolynomial(2, (((-1, (0, 0)), LaurentU.zero()),))",
+    # one coefficient where phi(4) = 2
+    "Cyclotomic(4, (Fraction(1),))",
+)
+
+
+@pytest.mark.parametrize("expr", INVALID_EXACT_VALUES, ids=["trace_polynomial", "cyclotomic"])
+def test_invalid_trace_polynomial_and_cyclotomic_rejected(expr):
+    with pytest.raises(ValueError):
+        eval(expr)
+
+
+def test_invalid_trace_polynomial_and_cyclotomic_rejected_under_optimize():
+    """The checks are explicit raises, so python -O keeps them."""
+    import yhecke
+
+    src = str(Path(yhecke.__file__).resolve().parents[1])
+    code = (
+        "from fractions import Fraction\n"
+        "from yhecke.exactnum import Cyclotomic, LaurentU, TracePolynomial\n"
+        f"for expr in {INVALID_EXACT_VALUES!r}:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "    except ValueError:\n"
+        "        print(__debug__, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised"] * 2

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_braid, random_element
+from yhecke.adelic import rho
 from yhecke.braid import BraidWord, parse_braid
 from yhecke.exactnum import LaurentU, laurent_u_minus_one
 from yhecke.yokonuma import (
@@ -312,6 +313,33 @@ def test_basis_word_validation_survives_optimize():
     assert proc.stdout.split() == ["False", "raised", "False", "raised"]
 
 
+def test_element_rejects_words_of_another_algebra():
+    one = LaurentU.from_scalar(1)
+    for word in (BasisWord(3, 2, (0, 0), (0, 1)), BasisWord(2, 3, (0, 0, 0), (0, 1, 2))):
+        with pytest.raises(ValueError):
+            AlgebraElement(2, 2, {BasisWord(2, 2, (0, 0), (0, 1)): one, word: one})
+
+
+def test_element_validation_survives_optimize():
+    """The check is an explicit raise, so python -O keeps it."""
+    import yhecke
+
+    src = str(Path(yhecke.__file__).resolve().parents[1])
+    code = (
+        "from yhecke.exactnum import LaurentU\n"
+        "from yhecke.yokonuma import AlgebraElement, BasisWord\n"
+        "one = LaurentU.from_scalar(1)\n"
+        "try:\n"
+        "    AlgebraElement(2, 2, {BasisWord(2, 2, (0, 0), (0, 1)): one, BasisWord(3, 2, (0, 0), (0, 1)): one})\n"
+        "except ValueError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised"]
+
+
 # -- the integer kernel ----------------------------------------------------------
 
 KERNEL_ALGEBRAS = [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (4, 4)]
@@ -359,7 +387,7 @@ def test_letter_tables_are_integral_and_match_the_algebra(d, n):
                 for w, e, c in table:
                     terms.setdefault(w, {})[e] = c
                 expected = multiply(AlgebraElement.from_word(word), image)
-                assert AlgebraElement.from_scaled(d, n, terms, d) == expected
+                assert AlgebraElement.from_ints(d, n, terms, d) == expected
 
 
 def test_inexact_division_by_d_raises():
@@ -408,11 +436,44 @@ def test_inexact_division_is_an_internal_failure_at_the_cli(monkeypatch):
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 3), (4, 3)])
-def test_scaled_form_round_trips(d, n):
+def test_integer_form_round_trips(d, n):
     rng = random.Random(41 * d + n)
     for _ in range(10):
         a = random_element(rng, d, n)
-        terms, den = a.scaled()
-        assert all(type(c) is int for poly in terms.values() for c in poly.values())
-        assert AlgebraElement.from_scaled(d, n, terms, den) == a
-    assert AlgebraElement.zero(d, n).scaled() == ({}, 1)
+        assert all(type(c) is int for poly in a.int_terms.values() for c in poly.values())
+        assert AlgebraElement.from_ints(d, n, a.int_terms, a.den) == a
+        assert AlgebraElement(d, n, a.terms) == a
+    zero = AlgebraElement.zero(d, n)
+    assert (zero.int_terms, zero.den) == ({}, 1)
+
+
+def test_canonical_form_is_shared_by_every_construction():
+    """Equal elements store equal integer terms over equal denominators,
+    however they were built, so equality stays structural."""
+    w = {(fr, perm): BasisWord(2, 2, fr, perm) for fr in ((0, 0), (1, 1)) for perm in ((0, 1), (1, 0))}
+    one = LaurentU.from_scalar(1)
+    e, g = idempotent_e(2, 2, 1), generator(2, 2, 1)
+    # coefficients 2/2 share the factor 2 with d = 2
+    pairs = [
+        (e.scale(2), AlgebraElement(2, 2, {w[(0, 0), (0, 1)]: one, w[(1, 1), (0, 1)]: one})),
+        (multiply(e, g).scale(2), AlgebraElement(2, 2, {w[(0, 0), (1, 0)]: one, w[(1, 1), (1, 0)]: one})),
+        (multiply(e, e), e),
+        (represent_braid(2, parse_braid("1 -1")), AlgebraElement.one(2, 2)),
+        (represent_braid(2, parse_braid("1 1")), multiply(g, g)),
+        (AlgebraElement.from_ints(2, 2, {w[(0, 0), (0, 1)]: {0: 4, 1: -6}}, 4),
+         AlgebraElement(2, 2, {w[(0, 0), (0, 1)]: LaurentU.from_dict({0: 1, 1: Fraction(-3, 2)})})),
+        (AlgebraElement.from_ints(2, 2, {w[(0, 0), (0, 1)]: {0: 0}}, 8), AlgebraElement.zero(2, 2)),
+        (e - e, AlgebraElement.zero(2, 2)),
+        (e.scale(0), AlgebraElement.zero(2, 2)),
+        (rho(2, 4, idempotent_e(4, 2, 1)), e),
+        (rho(2, 4, represent_braid(4, parse_braid("1 -1 1"))), represent_braid(2, parse_braid("1"))),
+    ]
+    for a, b in pairs:
+        assert a == b and a.terms == b.terms
+        assert (a.int_terms, a.den) == (b.int_terms, b.den)
+        assert math.gcd(a.den, *(c for poly in a.int_terms.values() for c in poly.values())) == 1
+        assert AlgebraElement(2, 2, a.terms) == a
+        assert embed(a, 3) == embed(b, 3) and embed(a, 3).terms == embed(b, 3).terms
+        assert rho(1, 2, a) == rho(1, 2, b)
+    assert (AlgebraElement.zero(2, 2).int_terms, AlgebraElement.zero(2, 2).den) == ({}, 1)
+    assert e != e.scale(2) and e.scale(2).den == 1 and e.den == 2
