@@ -14,6 +14,7 @@ from .braid import (
 from .exactnum import (
     Cyclotomic,
     DenominatorFamilyError,
+    IrrationalTraceError,
     LaurentU,
     OrderMismatchError,
     PolyUZ,

@@ -24,6 +24,7 @@ input and seed is byte-identical across runs; numeric evaluation
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import random
@@ -65,11 +66,13 @@ from .esystem import (
 from .exactnum import (
     Cyclotomic,
     DenominatorFamilyError,
+    IrrationalTraceError,
     LaurentU,
     OrderMismatchError,
     PolyUZ,
     RatFunc,
     TracePolynomial,
+    euler_phi,
 )
 from .invariant import (
     InvariantValue,
@@ -106,7 +109,9 @@ class PreconditionError(ValueError):
 
 # ---------------------------------------------------------------------------
 # JSON encoding of exact values: rationals as "p/q" strings, cyclotomic
-# coefficients as arrays in the power basis of zeta_d.
+# coefficients as arrays in the power basis of zeta_d.  The rational
+# coefficients of invariant bodies keep that array shape: [q, "0", ...],
+# phi(d) entries long.
 # ---------------------------------------------------------------------------
 
 def _json_fraction(q: Fraction) -> str:
@@ -131,17 +136,18 @@ def _json_trace_poly(p: TracePolynomial) -> dict:
     }
 
 
-def _json_poly_uz(p: PolyUZ) -> list[dict]:
+def _json_poly_uz(p: PolyUZ, d: int) -> list[dict]:
+    zeros = ["0"] * (euler_phi(d) - 1)
     return [
-        {"u": ue, "z": ze, "coeff": _json_cyclotomic(c)} for (ue, ze), c in p.terms
+        {"u": ue, "z": ze, "coeff": [_json_fraction(c), *zeros]} for (ue, ze), c in p.terms
     ]
 
 
-def _json_ratfunc(f: RatFunc) -> dict:
+def _json_ratfunc(f: RatFunc, d: int) -> dict:
     return {
-        "order": f.order,
-        "numerator": _json_poly_uz(f.num),
-        "denominator": _json_poly_uz(f.den),
+        "order": d,
+        "numerator": _json_poly_uz(f.num, d),
+        "denominator": _json_poly_uz(f.den, d),
     }
 
 
@@ -149,7 +155,7 @@ def _json_invariant(v: InvariantValue) -> dict:
     return {
         "order": v.order,
         "halfLambda": v.half,
-        "body": _json_ratfunc(v.body),
+        "body": _json_ratfunc(v.body, v.order),
     }
 
 
@@ -173,9 +179,12 @@ def _parse_subset(text: str, d: int) -> frozenset[int]:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise UsageError(f"malformed complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise UsageError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _load_braids(args) -> list[tuple[str, "BraidWord | CorpusRecordError"]]:
@@ -205,12 +214,21 @@ def _numeric_point(args) -> "tuple[complex, complex] | None":
 
 
 def _approx(point: tuple[complex, complex], evaluate, *args) -> dict:
-    """The labeled approximate value ``evaluate(*args, u, z)``; a pole there
-    is a precondition violation."""
+    """The labeled approximate value ``evaluate(*args, u, z)``; a pole there,
+    or a value beyond double precision, is a precondition violation."""
     try:
-        return _json_complex(evaluate(*args, *point))
+        value = evaluate(*args, *point)
     except ZeroDivisionError as exc:
         raise PreconditionError(f"u={point[0]}, z={point[1]} is a pole ({exc})") from exc
+    except OverflowError as exc:
+        raise PreconditionError(
+            f"the value at u={point[0]}, z={point[1]} overflows double precision ({exc})"
+        ) from exc
+    if not cmath.isfinite(value):
+        raise PreconditionError(
+            f"the value at u={point[0]}, z={point[1]} is not finite in double precision"
+        )
+    return _json_complex(value)
 
 
 def _approx_lines(point: "tuple[complex, complex] | None", fields: dict) -> list[str]:
@@ -241,7 +259,11 @@ def _run_records(args, out, err, record, document: "str | None" = None) -> int:
             print(f"skipped: {rec}", file=err)
             results.append({"name": name, "error": str(rec)})
             continue
-        fields, lines = record(rec)
+        try:
+            fields, lines = record(rec)
+        except RecursionError as exc:
+            # the trace recurses once per strand
+            raise PreconditionError(f"a braid on {rec.strands} strands is too deep to trace") from exc
         results.append({"name": name, "braid": format_braid(rec), **fields})
         if text:
             prefix = f"{name}: " if args.corpus else ""
@@ -293,7 +315,7 @@ def _cmd_trace(args, out, err) -> int:
         if sol is None:
             fields = {"d": d, "trace": _json_trace_poly(value)}
         else:
-            fields = {"d": d, "subset": sorted(sol.subset), "trace": _json_ratfunc(value)}
+            fields = {"d": d, "subset": sorted(sol.subset), "trace": _json_ratfunc(value, d)}
         if point is not None:
             fields["approx"] = _approx(point, value.eval_complex)
         return fields, lambda: [f"tr_{d}({format_braid(braid)}) = {value}", *_approx_lines(point, fields)]
@@ -597,7 +619,7 @@ def main(argv: "Sequence[str] | None" = None, out=None, err=None) -> int:
     except CoherenceError as exc:
         print(f"internal coherence failure: {exc}", file=err)
         return EXIT_COHERENCE
-    except (DenominatorFamilyError, ESystemError, InexactDivisionError) as exc:
+    except (DenominatorFamilyError, ESystemError, InexactDivisionError, IrrationalTraceError) as exc:
         print(f"internal failure: {exc}", file=err)
         return EXIT_COHERENCE
     except ValueError as exc:

@@ -9,12 +9,20 @@ Everything here is exact and immutable:
 - ``LaurentU`` is a Laurent polynomial in the variable u over Q;
 - ``TracePolynomial`` is a polynomial in z and x_1..x_{d-1} whose
   coefficients are ``LaurentU`` (x_0 is identified with the constant 1);
-- ``PolyUZ`` is an ordinary polynomial in u, z over Q(zeta_d);
+- ``PolyUZ`` is an ordinary polynomial in u, z over Q;
 - ``RatFunc`` is a quotient of two ``PolyUZ``, kept in canonical form
   (reduced, denominator with leading coefficient 1) so that equality is
   structural.  Its denominator is u^a z^b l^c for a single linear form l,
   the shape every value of the invariant has, so reduction needs only the
   monomial content and synthetic division by l.
+
+Cyclotomic numbers appear only in the E-system values and in the one
+substitution of those values into a trace polynomial
+(``substitute_x_values``).  For classical links the substituted trace is
+rational: it depends on the solution only through 1/|S|.  The substitution
+returns the power-basis coordinates of its result, and
+``trace_poly_substitute`` checks once that all but the first are zero, so
+invariant bodies are carried over Q.
 
 Monomial orders, and hence all renderings, are deterministic: total degree
 first, then lexicographically with z before u before x_1 before x_2, etc.
@@ -22,7 +30,6 @@ first, then lexicographically with z before u before x_1 before x_2, etc.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,18 +57,6 @@ def _qp_trim(cs: Sequence[Fraction]) -> _QPoly:
     return tuple(cs[:i])
 
 
-def _qp_mul(a: _QPoly, b: _QPoly) -> _QPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _qp_trim(out)
-
-
 def _qp_divmod(a: _QPoly, b: _QPoly) -> tuple[_QPoly, _QPoly]:
     assert b, "division by the zero polynomial"
     rem = list(a)
@@ -77,26 +72,6 @@ def _qp_divmod(a: _QPoly, b: _QPoly) -> tuple[_QPoly, _QPoly]:
         for j in range(db + 1):
             rem[i - db + j] -= q * b[j]
     return _qp_trim(quot), _qp_trim(rem)
-
-
-def _qp_xgcd(a: _QPoly, b: _QPoly) -> tuple[_QPoly, _QPoly, _QPoly]:
-    """Extended Euclid in Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = _qp_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _qp_trim([x - y for x, y in _zip_pad(s0, _qp_mul(q, s1))])
-        t0, t1 = t1, _qp_trim([x - y for x, y in _zip_pad(t0, _qp_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(a: Sequence[Fraction], b: Sequence[Fraction]):
-    n = max(len(a), len(b))
-    za = tuple(a) + (Fraction(0),) * (n - len(a))
-    zb = tuple(b) + (Fraction(0),) * (n - len(b))
-    return zip(za, zb)
 
 
 def _divisors(d: int) -> list[int]:
@@ -245,33 +220,10 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> Cyclotomic:
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi_poly = cyclotomic_polynomial(self.order)
-        g, s, _t = _qp_xgcd(_qp_trim(self.coeffs), phi_poly)
-        assert len(g) == 1, "cyclotomic polynomial must be coprime to a nonzero element"
-        scale = 1 / g[0]
-        return Cyclotomic(
-            self.order,
-            _reduce_mod_cyclotomic(self.order, [c * scale for c in s]),
-        )
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k: int) -> Cyclotomic:
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
+        if k < 0:
+            raise ValueError(f"negative power {k} of a cyclotomic number")
+        base = self
         acc = Cyclotomic.one(self.order)
         while k:
             if k & 1:
@@ -280,24 +232,7 @@ class Cyclotomic:
             k >>= 1
         return acc
 
-    def raise_order(self, new_order: int) -> Cyclotomic:
-        """Embed Q(zeta_d) into Q(zeta_d') along d | d', zeta_d -> zeta_d'^(d'/d)."""
-        if new_order % self.order != 0:
-            raise OrderMismatchError(
-                f"{self.order} does not divide {new_order}; cannot raise order"
-            )
-        step = new_order // self.order
-        out = Cyclotomic.zero(new_order)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyclotomic.root(new_order, i * step) * c
-        return out
-
     # -- output --------------------------------------------------------------
-
-    def eval_complex(self) -> complex:
-        zeta = cmath.exp(2j * cmath.pi / self.order)
-        return sum((complex(c) * zeta**i for i, c in enumerate(self.coeffs)), 0j)
 
     def __str__(self) -> str:
         sym = f"zeta{self.order}"
@@ -625,7 +560,7 @@ class TracePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate polynomials in u, z over Q(zeta_d).
+# Bivariate polynomials in u, z over Q.
 # ---------------------------------------------------------------------------
 
 _UZMono = tuple  # (u_exponent, z_exponent)
@@ -633,66 +568,51 @@ _UZMono = tuple  # (u_exponent, z_exponent)
 
 @dataclass(frozen=True)
 class PolyUZ:
-    """Polynomial in u and z with Cyclotomic coefficients (sparse, canonical)."""
+    """Polynomial in u and z with Fraction coefficients: sparse, sorted by
+    monomial and without zero coefficients, so equality is structural."""
 
-    order: int
-    terms: tuple[tuple[_UZMono, Cyclotomic], ...]
+    terms: tuple[tuple[_UZMono, Fraction], ...]
 
     def __post_init__(self):
         for (ue, ze), c in self.terms:
             if ue < 0 or ze < 0:
                 raise ValueError(f"negative exponent in u^{ue} z^{ze}")
-            if c.order != self.order or c.is_zero():
-                raise ValueError(f"coefficient {c} of u^{ue} z^{ze} is zero or not of order {self.order}")
+            if not isinstance(c, Fraction) or not c:
+                raise ValueError(f"coefficient {c!r} of u^{ue} z^{ze} is not a nonzero Fraction")
 
     @staticmethod
-    def from_dict(order: int, d: Mapping[_UZMono, Cyclotomic]) -> PolyUZ:
-        items = [(m, c) for m, c in d.items() if not c.is_zero()]
-        items.sort(key=lambda it: it[0])
-        return PolyUZ(order, tuple(items))
+    def from_dict(d: Mapping[_UZMono, Fraction]) -> PolyUZ:
+        return PolyUZ(tuple(sorted((m, c) for m, c in d.items() if c)))
 
     @staticmethod
-    def zero(order: int) -> PolyUZ:
-        return PolyUZ(order, ())
+    def zero() -> PolyUZ:
+        return PolyUZ(())
 
     @staticmethod
-    def from_cyclotomic(c: Cyclotomic) -> PolyUZ:
-        return PolyUZ.from_dict(c.order, {(0, 0): c})
+    def from_scalar(c: Scalar) -> PolyUZ:
+        return PolyUZ.monomial(0, 0, c)
 
     @staticmethod
-    def from_scalar(order: int, c: Scalar) -> PolyUZ:
-        return PolyUZ.from_cyclotomic(Cyclotomic.from_rational(order, c))
+    def one() -> PolyUZ:
+        return PolyUZ.from_scalar(1)
 
     @staticmethod
-    def one(order: int) -> PolyUZ:
-        return PolyUZ.from_scalar(order, 1)
-
-    @staticmethod
-    def monomial(order: int, ue: int, ze: int, c: Scalar | Cyclotomic = 1) -> PolyUZ:
-        cy = c if isinstance(c, Cyclotomic) else Cyclotomic.from_rational(order, c)
-        return PolyUZ.from_dict(order, {(ue, ze): cy})
+    def monomial(ue: int, ze: int, c: Scalar = 1) -> PolyUZ:
+        return PolyUZ.from_dict({(ue, ze): _as_fraction(c)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check_order(self, other: PolyUZ):
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"polynomial orders differ: {self.order} vs {other.order}"
-            )
-
     def __add__(self, other):
         if not isinstance(other, PolyUZ):
             return NotImplemented
-        self._check_order(other)
         acc = dict(self.terms)
-        zero = Cyclotomic.zero(self.order)
         for m, c in other.terms:
-            acc[m] = acc.get(m, zero) + c
-        return PolyUZ.from_dict(self.order, acc)
+            acc[m] = acc.get(m, 0) + c
+        return PolyUZ.from_dict(acc)
 
     def __neg__(self):
-        return PolyUZ(self.order, tuple((m, -c) for m, c in self.terms))
+        return PolyUZ(tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, PolyUZ):
@@ -702,47 +622,43 @@ class PolyUZ:
     def __mul__(self, other):
         if not isinstance(other, PolyUZ):
             return NotImplemented
-        self._check_order(other)
-        acc: dict[_UZMono, Cyclotomic] = {}
-        zero = Cyclotomic.zero(self.order)
+        acc: dict[_UZMono, Fraction] = {}
         for (u1, z1), c1 in self.terms:
             for (u2, z2), c2 in other.terms:
                 m = (u1 + u2, z1 + z2)
-                acc[m] = acc.get(m, zero) + c1 * c2
-        return PolyUZ.from_dict(self.order, acc)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return PolyUZ.from_dict(acc)
 
     def __pow__(self, k: int) -> PolyUZ:
         if k < 0:
             raise ValueError(f"negative power {k} of a polynomial")
-        acc = PolyUZ.one(self.order)
+        acc = PolyUZ.one()
         for _ in range(k):
             acc = acc * self
         return acc
 
-    def scale(self, c: Cyclotomic) -> PolyUZ:
-        if c.is_zero():
-            return PolyUZ.zero(self.order)
-        return PolyUZ.from_dict(self.order, {m: co * c for m, co in self.terms})
+    def scale(self, c: Scalar) -> PolyUZ:
+        if not c:
+            return PolyUZ.zero()
+        return PolyUZ(tuple((m, co * c) for m, co in self.terms))
 
-    def leading_monomial(self) -> tuple[_UZMono, Cyclotomic]:
+    def leading_monomial(self) -> tuple[_UZMono, Fraction]:
         assert self.terms, "zero polynomial has no leading monomial"
         return max(self.terms, key=lambda it: (it[0][0] + it[0][1], it[0][1], it[0][0]))
 
     def eval_complex(self, u: complex, z: complex) -> complex:
-        return sum(
-            (c.eval_complex() * u**ue * z**ze for (ue, ze), c in self.terms), 0j
-        )
+        return sum((complex(c) * u**ue * z**ze for (ue, ze), c in self.terms), 0j)
 
     def substitute(self, u_val: "RatFunc", z_val: "RatFunc") -> "RatFunc":
-        out = RatFunc.from_scalar(self.order, 0)
-        upow: dict[int, RatFunc] = {0: RatFunc.from_scalar(self.order, 1)}
-        zpow: dict[int, RatFunc] = {0: RatFunc.from_scalar(self.order, 1)}
+        out = RatFunc.from_scalar(0)
+        upow: dict[int, RatFunc] = {0: RatFunc.from_scalar(1)}
+        zpow: dict[int, RatFunc] = {0: RatFunc.from_scalar(1)}
         for (ue, ze), c in self.terms:
             if ue not in upow:
                 upow[ue] = u_val**ue
             if ze not in zpow:
                 zpow[ze] = z_val**ze
-            out = out + RatFunc.from_cyclotomic(c) * upow[ue] * zpow[ze]
+            out = out + c * upow[ue] * zpow[ze]
         return out
 
     def __str__(self) -> str:
@@ -754,26 +670,21 @@ class PolyUZ:
             return (ue + ze, ze, ue)
 
         parts = []
-        for (ue, ze), c in sorted(self.terms, key=sort_key, reverse=True):
+        for (ue, ze), q in sorted(self.terms, key=sort_key, reverse=True):
             factors = []
             if ze:
                 factors.append("z" if ze == 1 else f"z^{ze}")
             if ue:
                 factors.append("u" if ue == 1 else f"u^{ue}")
             mono = "*".join(factors)
-            if c.is_rational():
-                q = c.as_fraction()
-                if not mono:
-                    parts.append((q < 0, str(abs(q))))
-                elif q == 1:
-                    parts.append((False, mono))
-                elif q == -1:
-                    parts.append((True, mono))
-                else:
-                    parts.append((q < 0, f"{abs(q)}*{mono}"))
+            if not mono:
+                parts.append((q < 0, str(abs(q))))
+            elif q == 1:
+                parts.append((False, mono))
+            elif q == -1:
+                parts.append((True, mono))
             else:
-                body = f"({c})"
-                parts.append((False, f"{body}*{mono}" if mono else body))
+                parts.append((q < 0, f"{abs(q)}*{mono}"))
         return _join_signed(parts)
 
 
@@ -795,10 +706,10 @@ def _monomial_shift(p: PolyUZ, ue: int, ze: int) -> PolyUZ:
     """p * u^ue z^ze for exponents that keep every term a polynomial."""
     if not (ue or ze):
         return p
-    return PolyUZ(p.order, tuple(((a + ue, b + ze), c) for (a, b), c in p.terms))
+    return PolyUZ(tuple(((a + ue, b + ze), c) for (a, b), c in p.terms))
 
 
-def _linear_factor(r: PolyUZ) -> tuple[Cyclotomic, PolyUZ, int]:
+def _linear_factor(r: PolyUZ) -> tuple[Fraction, PolyUZ, int]:
     """Write r, a nonzero polynomial with no monomial content, as c * l^k.
 
     l is z + alpha u + beta when r has z, else u + beta, and 1 when r is a
@@ -806,23 +717,21 @@ def _linear_factor(r: PolyUZ) -> tuple[Cyclotomic, PolyUZ, int]:
     power k - 1, which is k c (alpha u + beta); all of r is then checked
     against c l^k.
     """
-    order = r.order
     coeffs = dict(r.terms)
     var = 1 if any(ze for (_, ze), _ in r.terms) else 0
     k = max(m[var] for m in coeffs)
     lead = (0, k) if var else (k, 0)
-    ell = PolyUZ.one(order)
+    ell = PolyUZ.one()
     c = coeffs.get(lead)
     if c is not None and k:
-        one, zero = Cyclotomic.one(order), Cyclotomic.zero(order)
-        scale = (c * k).inverse()
+        scale = 1 / (c * k)
         if var:
-            alpha = coeffs.get((1, k - 1), zero) * scale
-            beta = coeffs.get((0, k - 1), zero) * scale
-            ell = PolyUZ.from_dict(order, {(0, 1): one, (1, 0): alpha, (0, 0): beta})
+            alpha = coeffs.get((1, k - 1), 0) * scale
+            beta = coeffs.get((0, k - 1), 0) * scale
+            ell = PolyUZ.from_dict({(0, 1): Fraction(1), (1, 0): alpha, (0, 0): beta})
         else:
-            beta = coeffs.get((k - 1, 0), zero) * scale
-            ell = PolyUZ.from_dict(order, {(1, 0): one, (0, 0): beta})
+            beta = coeffs.get((k - 1, 0), 0) * scale
+            ell = PolyUZ.from_dict({(1, 0): Fraction(1), (0, 0): beta})
     if c is None or _linear_power(ell, k).scale(c) != r:
         raise DenominatorFamilyError(f"denominator {r} is not c * l^k for a linear form l")
     return c, ell, k
@@ -831,33 +740,31 @@ def _linear_factor(r: PolyUZ) -> tuple[Cyclotomic, PolyUZ, int]:
 @lru_cache(maxsize=64)
 def _linear_power(ell: PolyUZ, k: int) -> PolyUZ:
     """l^k; a run meets few linear forms, each with small exponents."""
-    return PolyUZ.one(ell.order) if k == 0 else _linear_power(ell, k - 1) * ell
+    return PolyUZ.one() if k == 0 else _linear_power(ell, k - 1) * ell
 
 
 def _divide_linear(p: PolyUZ, ell: PolyUZ) -> "PolyUZ | None":
     """p / l by synthetic division in l's leading variable v, or None when l
     does not divide p.  l is v + s with s a polynomial in the other variable."""
-    order = p.order
-    zero = Cyclotomic.zero(order)
     var = 1 if any(ze for (_, ze), _ in ell.terms) else 0
     other = 1 - var
     shift = [(m[other], c) for m, c in ell.terms if m[var] == 0]
-    rows: list[dict[int, Cyclotomic]] = [{} for _ in range(max(m[var] for m, _ in p.terms) + 1)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(max(m[var] for m, _ in p.terms) + 1)]
     for m, c in p.terms:
         rows[m[var]][m[other]] = c
     # p = sum a_i v^i and q = sum q_i v^i: q_{i-1} = a_i - s q_i, remainder a_0 - s q_0.
-    quot: dict[_UZMono, Cyclotomic] = {}
-    q: dict[int, Cyclotomic] = {}
+    quot: dict[_UZMono, Fraction] = {}
+    q: dict[int, Fraction] = {}
     for i in range(len(rows) - 1, -1, -1):
         acc = dict(rows[i])
         for we, qc in q.items():
             for se, sc in shift:
-                acc[we + se] = acc.get(we + se, zero) - qc * sc
-        q = {e: c for e, c in acc.items() if not c.is_zero()}
+                acc[we + se] = acc.get(we + se, 0) - qc * sc
+        q = {e: c for e, c in acc.items() if c}
         if i:
             for e, c in q.items():
                 quot[(e, i - 1) if var else (i - 1, e)] = c
-    return None if q else PolyUZ.from_dict(order, quot)
+    return None if q else PolyUZ.from_dict(quot)
 
 
 def poly_gcd(p: PolyUZ, q: PolyUZ) -> tuple[PolyUZ, PolyUZ, PolyUZ]:
@@ -869,8 +776,6 @@ def poly_gcd(p: PolyUZ, q: PolyUZ) -> tuple[PolyUZ, PolyUZ, PolyUZ]:
     terms of both polynomials and m the number of times l divides p exactly.
     Any other q raises ``DenominatorFamilyError``.
     """
-    if p.order != q.order:
-        raise OrderMismatchError("gcd of polynomials over different orders")
     if q.is_zero():
         raise ZeroDivisionError("gcd with the zero denominator")
     terms = p.terms + q.terms
@@ -889,7 +794,7 @@ def poly_gcd(p: PolyUZ, q: PolyUZ) -> tuple[PolyUZ, PolyUZ, PolyUZ]:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions in u, z over Q(zeta_d).
+# Rational functions in u, z over Q.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -906,58 +811,44 @@ class RatFunc:
     denominator outside the family raises ``DenominatorFamilyError``.
     """
 
-    order: int
     num: PolyUZ
     den: PolyUZ
 
     @staticmethod
     def make(num: PolyUZ, den: PolyUZ) -> RatFunc:
-        if num.order != den.order:
-            raise OrderMismatchError("numerator and denominator orders differ")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
-        order = num.order
         if num.is_zero():
-            return RatFunc(order, PolyUZ.zero(order), PolyUZ.one(order))
+            return RatFunc(PolyUZ.zero(), PolyUZ.one())
         _, num, den = poly_gcd(num, den)
         _, lead = den.leading_monomial()
-        inv = lead.inverse()
-        return RatFunc(order, num.scale(inv), den.scale(inv))
+        inv = 1 / lead
+        return RatFunc(num.scale(inv), den.scale(inv))
 
     @staticmethod
     def from_poly(p: PolyUZ) -> RatFunc:
-        return RatFunc(p.order, p, PolyUZ.one(p.order))
+        return RatFunc(p, PolyUZ.one())
 
     @staticmethod
-    def from_cyclotomic(c: Cyclotomic) -> RatFunc:
-        return RatFunc.from_poly(PolyUZ.from_cyclotomic(c))
+    def from_scalar(c: Scalar) -> RatFunc:
+        return RatFunc.from_poly(PolyUZ.from_scalar(c))
 
     @staticmethod
-    def from_scalar(order: int, c: Scalar) -> RatFunc:
-        return RatFunc.from_poly(PolyUZ.from_scalar(order, c))
+    def u_var() -> RatFunc:
+        return RatFunc.from_poly(PolyUZ.monomial(1, 0))
 
     @staticmethod
-    def u_var(order: int) -> RatFunc:
-        return RatFunc.from_poly(PolyUZ.monomial(order, 1, 0))
-
-    @staticmethod
-    def z_var(order: int) -> RatFunc:
-        return RatFunc.from_poly(PolyUZ.monomial(order, 0, 1))
+    def z_var() -> RatFunc:
+        return RatFunc.from_poly(PolyUZ.monomial(0, 1))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def _coerce(self, other) -> "RatFunc | None":
         if isinstance(other, RatFunc):
-            if other.order != self.order:
-                raise OrderMismatchError(
-                    f"rational function orders differ: {self.order} vs {other.order}"
-                )
             return other
-        if isinstance(other, Cyclotomic):
-            return RatFunc.from_cyclotomic(other)
         if isinstance(other, (int, Fraction)):
-            return RatFunc.from_scalar(self.order, other)
+            return RatFunc.from_scalar(other)
         return None
 
     def __add__(self, other):
@@ -971,7 +862,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.order, -self.num, self.den)
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -1009,8 +900,8 @@ class RatFunc:
 
     def __pow__(self, k: int) -> RatFunc:
         if k < 0:
-            return (RatFunc.from_scalar(self.order, 1) / self) ** (-k)
-        acc = RatFunc.from_scalar(self.order, 1)
+            return (1 / self) ** (-k)
+        acc = RatFunc.from_scalar(1)
         base = self
         while k:
             if k & 1:
@@ -1021,8 +912,6 @@ class RatFunc:
 
     def equal_cross(self, other: RatFunc) -> bool:
         """Equality by cross-multiplication, independent of canonical form."""
-        if self.order != other.order:
-            raise OrderMismatchError("comparing rational functions over different orders")
         return self.num * other.den == other.num * self.den
 
     def substitute(self, u_val: RatFunc, z_val: RatFunc) -> RatFunc:
@@ -1032,44 +921,64 @@ class RatFunc:
         return self.num.eval_complex(u, z) / self.den.eval_complex(u, z)
 
     def __str__(self) -> str:
-        if self.den == PolyUZ.one(self.order):
+        if self.den == PolyUZ.one():
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
 
+# ---------------------------------------------------------------------------
+# Substituting E-system values into trace polynomials.
+# ---------------------------------------------------------------------------
+
+class IrrationalTraceError(ArithmeticError):
+    """Raised when a substituted trace has a nonzero coordinate on
+    zeta_d^i, i >= 1.  The trace of a braid image is rational at every
+    E-system solution, so this signals an implementation bug."""
+
+
 def trace_poly_substitute(p: TracePolynomial, sol) -> RatFunc:
-    """Substitute exact values for the x_m variables of a trace polynomial.
+    """Substitute an E-system solution for the x_m variables of a trace
+    polynomial whose value there is rational, such as the trace of a braid.
 
     ``sol`` must expose ``d`` (the order) and ``values`` (a length-d sequence
-    of Cyclotomic values with values[0] = 1); the result is a rational
-    function in u, z over Q(zeta_d) with denominator a power of u.
+    of Cyclotomic values with values[0] = 1).  The result is coordinate 0 of
+    ``substitute_x_values``, a rational function in u, z over Q with
+    denominator a power of u; any other nonzero coordinate raises
+    ``IrrationalTraceError``.
     """
     if p.order != sol.d:
         raise OrderMismatchError(
             f"trace polynomial order {p.order} does not match solution order {sol.d}"
         )
-    return substitute_x_values(p, sol.values)
+    value, *rest = substitute_x_values(p, sol.values)
+    if any(not f.is_zero() for f in rest):
+        raise IrrationalTraceError(
+            f"a trace polynomial of order {p.order} is not rational at the solution"
+        )
+    return value
 
 
-def substitute_x_values(p: TracePolynomial, values: Sequence[Cyclotomic]) -> RatFunc:
+def substitute_x_values(p: TracePolynomial, values: Sequence[Cyclotomic]) -> tuple[RatFunc, ...]:
+    """p with x_m = values[m], as its coordinates (f_0, ..., f_{phi(d)-1})
+    in the power basis: the value is sum_i f_i zeta_d^i, and each f_i is a
+    rational function in u, z over Q with denominator a power of u."""
     order = p.order
     if len(values) != order:
         raise ValueError(f"expected {order} values, got {len(values)}")
     min_u = 0
     for _, c in p.terms:
         min_u = min(min_u, c.min_exponent())
-    acc: dict[_UZMono, Cyclotomic] = {}
-    zero = Cyclotomic.zero(order)
+    coords: list[dict[_UZMono, Fraction]] = [{} for _ in range(euler_phi(order))]
     for (ze, xe), lu in p.terms:
         scalar = Cyclotomic.one(order)
         for idx, e in enumerate(xe):
             if e:
                 scalar = scalar * values[idx + 1] ** e
-        if scalar.is_zero():
-            continue
         for ue, q in lu.terms:
             m = (ue - min_u, ze)
-            acc[m] = acc.get(m, zero) + scalar * q
-    num = PolyUZ.from_dict(order, acc)
-    den = PolyUZ.monomial(order, -min_u, 0)
-    return RatFunc.make(num, den)
+            for acc, s in zip(coords, scalar.coeffs):
+                if s:
+                    acc[m] = acc.get(m, 0) + s * q
+    den = PolyUZ.monomial(-min_u, 0)
+    nums = [PolyUZ.from_dict(acc) for acc in coords]
+    return tuple(RatFunc.make(num, den) if num.terms else RatFunc.from_poly(num) for num in nums)

@@ -27,13 +27,14 @@ from functools import lru_cache
 
 from .braid import BraidWord, exponent_sum
 from .esystem import ESolution, solution_from_subset, zeta_value
-from .exactnum import Cyclotomic, PolyUZ, RatFunc
+from .exactnum import PolyUZ, RatFunc
 from .trace import trace_of_braid
 
 
 @dataclass(frozen=True)
 class InvariantValue:
-    """body * sqrt(lambda)^half with half in {0, 1}; equality is structural."""
+    """body * sqrt(lambda)^half with half in {0, 1}; equality is structural.
+    ``order`` is the modulus d of the algebra; the body is over Q."""
 
     order: int
     half: int
@@ -42,8 +43,6 @@ class InvariantValue:
     def __post_init__(self):
         if self.half not in (0, 1):
             raise ValueError(f"half must be 0 or 1, got {self.half}")
-        if self.body.order != self.order:
-            raise ValueError(f"body has order {self.body.order}, expected {self.order}")
         if self.body.is_zero() and self.half == 1:
             raise ValueError("the zero invariant carries no sqrt(lambda)")
 
@@ -55,16 +54,15 @@ class InvariantValue:
 
 
 def lambda_param(d: int, sol: ESolution) -> RatFunc:
-    """The rescaling factor (z - (1-u) zeta) / (u z) with zeta = 1/|S|."""
-    return _lambda(d, zeta_value(sol))
+    """The rescaling factor (z - (1-u) zeta) / (u z) with zeta = 1/|S|; it
+    depends on d and the solution only through zeta."""
+    return _lambda(zeta_value(sol))
 
 
 @lru_cache(maxsize=64)
-def _lambda(d: int, zeta: Fraction) -> RatFunc:
-    # lambda depends on the solution only through zeta
-    c = Cyclotomic.from_rational(d, zeta)
-    ell = PolyUZ.from_dict(d, {(0, 1): Cyclotomic.one(d), (1, 0): c, (0, 0): -c})
-    return RatFunc.make(ell, PolyUZ.monomial(d, 1, 1))
+def _lambda(zeta: Fraction) -> RatFunc:
+    ell = PolyUZ.from_dict({(0, 1): Fraction(1), (1, 0): zeta, (0, 0): -zeta})
+    return RatFunc.make(ell, PolyUZ.monomial(1, 1))
 
 
 def _make_value(d: int, half_power: int, num: PolyUZ, den: PolyUZ, lam: RatFunc) -> InvariantValue:
@@ -107,7 +105,7 @@ def value_add(a: InvariantValue, b: InvariantValue) -> InvariantValue:
 
 
 def value_sub(a: InvariantValue, b: InvariantValue) -> InvariantValue:
-    return value_add(a, value_scale(b, RatFunc.from_scalar(b.order, -1)))
+    return value_add(a, value_scale(b, RatFunc.from_scalar(-1)))
 
 
 def delta_invariant(d: int, sol: ESolution, b: BraidWord) -> InvariantValue:
@@ -119,9 +117,8 @@ def delta_invariant(d: int, sol: ESolution, b: BraidWord) -> InvariantValue:
     0
     """
     traced = trace_of_braid(d, b, sol)
-    assert isinstance(traced, RatFunc)
     n = b.strands
-    den = traced.den * PolyUZ.monomial(d, 0, n - 1)
+    den = traced.den * PolyUZ.monomial(0, n - 1)
     return _make_value(d, exponent_sum(b) - (n - 1), traced.num, den, lambda_param(d, sol))
 
 
@@ -145,7 +142,7 @@ def skein_check(d: int, sol: ESolution, b: BraidWord, i: int) -> bool:
         return BraidWord(b.strands, b.letters[:i] + middle + b.letters[i + 1 :])
 
     lam = lambda_param(d, sol)
-    u = RatFunc.u_var(d)
+    u = RatFunc.u_var()
     v_pp = delta_invariant(d, sol, variant(2))
     v_p = delta_invariant(d, sol, variant(1))
     v_0 = delta_invariant(d, sol, variant(0))
@@ -174,8 +171,8 @@ def mirror_value(d: int, sol: ESolution, v: InvariantValue) -> InvariantValue:
     lambda^-h).  The mirror image of a closed braid has this transformed
     invariant."""
     lam = lambda_param(d, sol)
-    u_new = 1 / RatFunc.u_var(d)
-    z_new = lam * RatFunc.z_var(d)
+    u_new = 1 / RatFunc.u_var()
+    z_new = lam * RatFunc.z_var()
     body = v.body.substitute(u_new, z_new)
     # parity h with one whole lambda^-h folded in
     return _make_value(d, -v.half, body.num, body.den, lam)

@@ -122,7 +122,8 @@ def markov_trace(a: AlgebraElement) -> TracePolynomial:
 
 def trace_of_braid(d: int, b: BraidWord, sol=None) -> "TracePolynomial | RatFunc":
     """Trace of the image of a braid in Y_{d,n}; if an E-system solution is
-    given, its exact values are substituted for the x_m."""
+    given, its exact values are substituted for the x_m, which gives a
+    rational function in u, z over Q."""
     poly = markov_trace(represent_braid(d, b))
     if sol is None:
         return poly

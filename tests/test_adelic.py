@@ -172,7 +172,7 @@ def test_adelic_trace_examples():
 
 def test_adelic_delta_unknot_and_trefoil():
     assert adelic_delta(DivisorChain((1,)), {0}, BraidWord(1, ())) == (
-        InvariantValue(1, 0, RatFunc.from_scalar(1, 1)),
+        InvariantValue(1, 0, RatFunc.from_scalar(1)),
     )
     chain = DivisorChain((2, 4))
     vals = adelic_delta(chain, {0}, parse_braid("1 1 1"))
@@ -180,7 +180,7 @@ def test_adelic_delta_unknot_and_trefoil():
         lifted = lift_subset(2, d, {0})
         sol = solution_from_subset(d, lifted)
         lam = lambda_param(d, sol)
-        u, z = RatFunc.u_var(d), RatFunc.z_var(d)
+        u, z = RatFunc.u_var(), RatFunc.z_var()
         body = (lam / z) * ((u * u - u + 1) * z - (u * u - u) * zeta_value(sol))
         assert v == InvariantValue(d, 0, body)
     with pytest.raises(ValueError):

@@ -14,8 +14,9 @@ import pytest
 
 import yhecke.cli
 import yhecke.esystem
+import yhecke.trace
 from yhecke.cli import EXIT_COHERENCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
-from yhecke.exactnum import PolyUZ, RatFunc
+from yhecke.exactnum import PolyUZ, RatFunc, TracePolynomial
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,6 +43,14 @@ GOLDEN_CASES = [
         "adelic_trefoil.txt",
     ),
     (("verify", "--suite", "relations", "--seed", "7"), "verify_relations_seed7.txt"),
+    (
+        ("trace", "--d", "3", "--subset", "0,1", "--braid", "1 -2 1 -2", "--format", "json"),
+        "trace_subset_d3.json",
+    ),
+    (
+        ("adelic", "--chain", "2,4,8", "--subset", "1", "--braid", "1 1 1", "--format", "json"),
+        "adelic_chain_2_4_8.json",
+    ),
 ]
 
 
@@ -146,11 +155,52 @@ def test_exit_code_pole_at_evaluation_point():
 
 def test_exit_code_denominator_outside_family_is_internal(monkeypatch):
     def out_of_family(d, sol, braid):
-        RatFunc.make(PolyUZ.one(d), PolyUZ.monomial(d, 1, 1) + PolyUZ.one(d))
+        RatFunc.make(PolyUZ.one(), PolyUZ.monomial(1, 1) + PolyUZ.one())
 
     monkeypatch.setattr(yhecke.cli, "delta_invariant", out_of_family)
     code, _, err = run_cli("invariant", "--d", "2", "--subset", "0", "--braid", "1")
     assert code == EXIT_COHERENCE and "internal failure" in err
+
+
+def test_irrational_substituted_trace_is_internal(monkeypatch):
+    monkeypatch.setattr(yhecke.trace, "markov_trace", lambda a: TracePolynomial.x_var(a.d, 1))
+    code, out, err = run_cli("trace", "--d", "3", "--subset", "1", "--braid", "1")
+    assert code == EXIT_COHERENCE and out == ""
+    assert err.startswith("internal failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1+infj"])
+def test_non_finite_evaluation_point_is_a_usage_error(value):
+    code, out, err = run_cli(
+        "invariant", "--d", "2", "--subset", "0", "--braid", "1 1 1",
+        "--eval-u", value, "--eval-z", "1", "--format", "json",
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
+
+
+def test_evaluation_overflow_is_a_precondition_violation():
+    code, out, err = run_cli(
+        "trace", "--d", "2", "--subset", "0", "--braid", "1 1 1", "--eval-u", "1e200", "--eval-z", "1e200"
+    )
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
+
+
+def test_non_finite_evaluation_result_is_a_precondition_violation():
+    # u z overflows to infinity without raising, and inf - inf is nan
+    code, out, err = run_cli(
+        "trace", "--d", "1", "--subset", "0", "--braid", "1 1", "--eval-u", "1e200", "--eval-z", "1e200",
+        "--format", "json",
+    )
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
+
+
+def test_braid_too_deep_to_trace_is_a_precondition_violation():
+    code, out, err = run_cli("invariant", "--d", "1", "--subset", "0", "--braid", "600:")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: ") and "600 strands" in err and err.count("\n") == 1
 
 
 def test_failed_esystem_check_on_computed_solution_is_internal(monkeypatch):

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from yhecke.esystem import solution_from_subset
 from yhecke.exactnum import (
     Cyclotomic,
     DenominatorFamilyError,
+    IrrationalTraceError,
     LaurentU,
     OrderMismatchError,
     PolyUZ,
@@ -25,6 +27,7 @@ from yhecke.exactnum import (
     euler_phi,
     poly_gcd,
     substitute_x_values,
+    trace_poly_substitute,
 )
 
 # Standard cyclotomic polynomials, written out by hand as integer coefficient
@@ -94,16 +97,11 @@ def test_cyclotomic_arith_examples():
     z3 = Cyclotomic.root(3, 1)
     assert z3 + z3**2 == Cyclotomic.from_rational(3, -1)
     assert Cyclotomic.root(5, 1) * Cyclotomic.root(5, 4) == Cyclotomic.one(5)
-    assert Cyclotomic.root(2, 1).raise_order(6) == Cyclotomic.root(6, 3)
 
 
 def test_cyclotomic_order_mismatch_and_zero_division():
     with pytest.raises(OrderMismatchError):
         Cyclotomic.root(3, 1) + Cyclotomic.root(4, 1)
-    with pytest.raises(ZeroDivisionError):
-        Cyclotomic.one(3) / Cyclotomic.zero(3)
-    with pytest.raises(OrderMismatchError):
-        Cyclotomic.root(4, 1).raise_order(6)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 12])
@@ -126,15 +124,6 @@ def test_cyclotomic_field_axioms_random(d):
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
-        if not a.is_zero():
-            assert a * a.inverse() == Cyclotomic.one(d)
-            assert (b / a) * a == b
-
-
-def test_eval_complex_consistency():
-    z8 = Cyclotomic.root(8, 1)
-    v = (z8 + z8**7).eval_complex()  # 2 cos(pi/4) = sqrt(2)
-    assert abs(v - math.sqrt(2)) < 1e-12
 
 
 # -- LaurentU -----------------------------------------------------------------
@@ -200,68 +189,61 @@ def test_trace_polynomial_order_mismatch():
 
 # -- PolyUZ / RatFunc ----------------------------------------------------------
 
-def rand_poly(rng: random.Random, order: int, max_terms: int = 4) -> PolyUZ:
+def rand_poly(rng: random.Random, max_terms: int = 4) -> PolyUZ:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         mono = (rng.randint(0, 3), rng.randint(0, 3))
-        coeff = Cyclotomic(
-            order,
-            tuple(
-                Fraction(rng.randint(-3, 3)) for _ in range(euler_phi(order))
-            ),
-        )
-        if not coeff.is_zero():
+        coeff = Fraction(rng.randint(-3, 3))
+        if coeff:
             terms[mono] = coeff
-    return PolyUZ.from_dict(order, terms)
+    return PolyUZ.from_dict(terms)
 
 
-def rand_cyclotomic(rng: random.Random, order: int) -> Cyclotomic:
-    return Cyclotomic(
-        order, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(euler_phi(order)))
-    )
+def rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
 
-def rand_linear_form(rng: random.Random, order: int) -> PolyUZ:
+def rand_linear_form(rng: random.Random) -> PolyUZ:
     """z + alpha u + beta, or u + beta, other than a bare u or z."""
-    one = Cyclotomic.one(order)
+    one = Fraction(1)
     while True:
-        alpha, beta = rand_cyclotomic(rng, order), rand_cyclotomic(rng, order)
+        alpha, beta = rand_fraction(rng), rand_fraction(rng)
         if rng.random() < 0.25:
-            ell = PolyUZ.from_dict(order, {(1, 0): one, (0, 0): beta})
+            ell = PolyUZ.from_dict({(1, 0): one, (0, 0): beta})
         else:
-            ell = PolyUZ.from_dict(order, {(0, 1): one, (1, 0): alpha, (0, 0): beta})
+            ell = PolyUZ.from_dict({(0, 1): one, (1, 0): alpha, (0, 0): beta})
         if len(ell.terms) > 1:
             return ell
 
 
-def family_member(order: int, ell: PolyUZ, a: int, b: int, c: int) -> PolyUZ:
+def family_member(ell: PolyUZ, a: int, b: int, c: int) -> PolyUZ:
     """The monic denominator u^a z^b l^c."""
-    out = PolyUZ.monomial(order, a, b)
+    out = PolyUZ.monomial(a, b)
     for _ in range(c):
         out = out * ell
     return out
 
 
-def rand_family(rng: random.Random, order: int, ell: PolyUZ, max_exp: int = 2) -> PolyUZ:
-    return family_member(order, ell, rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
+def rand_family(rng: random.Random, ell: PolyUZ, max_exp: int = 2) -> PolyUZ:
+    return family_member(ell, rng.randint(0, max_exp), rng.randint(0, max_exp), rng.randint(0, max_exp))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_poly_gcd_divides_products(order):
     rng = random.Random(order * 11)
     for _ in range(15):
-        ell = rand_linear_form(rng, order)
-        a, b, g = rand_poly(rng, order), rand_family(rng, order, ell), rand_family(rng, order, ell)
+        ell = rand_linear_form(rng)
+        a, b, g = rand_poly(rng), rand_family(rng, ell), rand_family(rng, ell)
         if a.is_zero():
             continue
-        a = a * rand_family(rng, order, ell)
+        a = a * rand_family(rng, ell)
         ag, bg = a * g, b * g
         got, q1, q2 = poly_gcd(ag, bg)
         # the gcd divides both products exactly ...
         assert q1 * got == ag and q2 * got == bg
         # ... and is itself a multiple of the common factor g.
         _, quot, unit = poly_gcd(got, g)
-        assert unit == PolyUZ.one(order) and quot * g == got
+        assert unit == PolyUZ.one() and quot * g == got
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -271,14 +253,14 @@ def test_ratfunc_congruence_cross_multiplication(order):
     rng = random.Random(order * 7)
     checked = 0
     while checked < 30:
-        ell = rand_linear_form(rng, order)
-        a, b = rand_poly(rng, order), rand_family(rng, order, ell)
-        c, dd = rand_poly(rng, order), rand_family(rng, order, ell)
+        ell = rand_linear_form(rng)
+        a, b = rand_poly(rng), rand_family(rng, ell)
+        c, dd = rand_poly(rng), rand_family(rng, ell)
         f1 = RatFunc.make(a, b)
         f2 = RatFunc.make(c, dd)
         assert (f1 == f2) == f1.equal_cross(f2)
         # scaling numerator and denominator never changes the value
-        s = rand_family(rng, order, ell)
+        s = rand_family(rng, ell)
         assert RatFunc.make(a * s, b * s) == f1
         checked += 1
 
@@ -291,9 +273,9 @@ def family_exponents(den: PolyUZ, ell: PolyUZ) -> tuple[int, int, int]:
     return a, b, max(m[var] for m, _ in den.terms) - (b if var else a)
 
 
-def rand_unit(rng: random.Random, order: int) -> Cyclotomic:
-    c = rand_cyclotomic(rng, order)
-    return c if not c.is_zero() else Cyclotomic.one(order)
+def rand_unit(rng: random.Random) -> Fraction:
+    c = rand_fraction(rng)
+    return c if c else Fraction(1)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -303,16 +285,16 @@ def test_make_cancels_common_family_factor(order):
     equal_cross."""
     rng = random.Random(order * 13)
     for _ in range(20):
-        ell = rand_linear_form(rng, order)
-        a = rand_poly(rng, order) * rand_family(rng, order, ell)
-        b = rand_family(rng, order, ell).scale(rand_unit(rng, order))
-        g = rand_family(rng, order, ell)
+        ell = rand_linear_form(rng)
+        a = rand_poly(rng) * rand_family(rng, ell)
+        b = rand_family(rng, ell).scale(rand_unit(rng))
+        g = rand_family(rng, ell)
         f = RatFunc.make(a, b)
         scaled = RatFunc.make(a * g, b * g)
         assert scaled == f and scaled.equal_cross(f)
-        assert f.den == family_member(order, ell, *family_exponents(f.den, ell))
+        assert f.den == family_member(ell, *family_exponents(f.den, ell))
         assert f.num * b == a * f.den
-        other = RatFunc.make(rand_poly(rng, order), rand_family(rng, order, ell))
+        other = RatFunc.make(rand_poly(rng), rand_family(rng, ell))
         assert (other == f) == other.equal_cross(f)
 
 
@@ -324,7 +306,7 @@ def test_make_matches_sympy_cancel():
 
     def expr(p: PolyUZ):
         return sum(
-            (sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator) * su**ue * sz**ze
+            (sympy.Rational(c.numerator, c.denominator) * su**ue * sz**ze
              for (ue, ze), c in p.terms),
             sympy.Integer(0),
         )
@@ -332,9 +314,9 @@ def test_make_matches_sympy_cancel():
     rng = random.Random(5)
     for order in (1, 2):
         for _ in range(15):
-            ell = rand_linear_form(rng, order)
-            num = rand_poly(rng, order) * rand_family(rng, order, ell)
-            den = rand_family(rng, order, ell, max_exp=3).scale(rand_unit(rng, order))
+            ell = rand_linear_form(rng)
+            num = rand_poly(rng) * rand_family(rng, ell)
+            den = rand_family(rng, ell, max_exp=3).scale(rand_unit(rng))
             if num.is_zero():
                 continue
             f = RatFunc.make(num, den)
@@ -343,61 +325,66 @@ def test_make_matches_sympy_cancel():
             assert sympy.expand(expr(f.num) * want_den - want_num * expr(f.den)) == 0
 
 
-def out_of_family_denominators(order: int) -> list[PolyUZ]:
-    u, z, one = PolyUZ.monomial(order, 1, 0), PolyUZ.monomial(order, 0, 1), PolyUZ.one(order)
+def out_of_family_denominators() -> list[PolyUZ]:
+    u, z, one = PolyUZ.monomial(1, 0), PolyUZ.monomial(0, 1), PolyUZ.one()
     return [
         u * z + one,  # not a power of a linear form
         (u - one) * (z + u - one),  # two different linear forms
         z * z + u,
-        (z + one) * (z + PolyUZ.from_scalar(order, 2)),
+        (z + one) * (z + PolyUZ.from_scalar(2)),
         u * u + one,
     ]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_out_of_family_denominator_raises(order):
-    for den in out_of_family_denominators(order):
+    for den in out_of_family_denominators():
         with pytest.raises(DenominatorFamilyError):
-            RatFunc.make(PolyUZ.one(order), den)
+            RatFunc.make(PolyUZ.one(), den)
 
 
 def test_out_of_family_denominator_raises_under_optimize():
-    """The check is an explicit raise, so python -O keeps it."""
+    """The checks are explicit raises, so python -O keeps them."""
     import yhecke
 
     src = str(Path(yhecke.__file__).resolve().parents[1])
     code = (
-        "from yhecke.exactnum import DenominatorFamilyError, PolyUZ, RatFunc\n"
-        "den = PolyUZ.monomial(1, 1, 1) + PolyUZ.one(1)\n"
-        "try:\n"
-        "    RatFunc.make(PolyUZ.one(1), den)\n"
-        "except DenominatorFamilyError:\n"
-        "    print(__debug__, 'raised')\n"
+        "from yhecke.esystem import solution_from_subset\n"
+        "from yhecke.exactnum import (DenominatorFamilyError, IrrationalTraceError, PolyUZ, RatFunc,\n"
+        "                             TracePolynomial, trace_poly_substitute)\n"
+        "den = PolyUZ.monomial(1, 1) + PolyUZ.one()\n"
+        "x1 = TracePolynomial.x_var(3, 1)\n"
+        "for make in (lambda: RatFunc.make(PolyUZ.one(), den),\n"
+        "             lambda: trace_poly_substitute(x1, solution_from_subset(3, {1}))):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except (DenominatorFamilyError, IrrationalTraceError):\n"
+        "        print(__debug__, 'raised')\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "raised"]
+    assert proc.stdout.split() == ["False", "raised"] * 2
 
 
 def test_ratfunc_field_ops():
-    u = RatFunc.u_var(2)
-    z = RatFunc.z_var(2)
+    u = RatFunc.u_var()
+    z = RatFunc.z_var()
     f = (z - 1) / (u * z)
     assert f * (u * z) == z - 1
     assert (f + 1 - 1) == f
-    assert f / f == RatFunc.from_scalar(2, 1)
-    assert (1 / u) * u == RatFunc.from_scalar(2, 1)
+    assert f / f == RatFunc.from_scalar(1)
+    assert (1 / u) * u == RatFunc.from_scalar(1)
     assert u**-2 == 1 / (u * u)
     with pytest.raises(ZeroDivisionError):
-        f / RatFunc.from_scalar(2, 0)
+        f / RatFunc.from_scalar(0)
 
 
 def test_ratfunc_substitute_involution():
     # the mirror map u -> 1/u, z -> lambda z sends L = z - (1 - u) to z/u,
     # so it keeps denominators in the family u^a z^b L^c
-    u = RatFunc.u_var(1)
-    z = RatFunc.z_var(1)
+    u = RatFunc.u_var()
+    z = RatFunc.z_var()
     lam = (z - (1 - u)) / (u * z)
     f = (z * z - u) / (u * z * (z - 1 + u) ** 2)
     g = f.substitute(1 / u, lam * z)
@@ -411,11 +398,10 @@ def test_substitution_is_ring_homomorphism():
     values_a = (Cyclotomic.one(d), Cyclotomic.from_rational(d, Fraction(1, 2)))
     p = z * x1 + x1
     q = x1 * x1 - z
-    sp = substitute_x_values(p, values_a)
-    sq = substitute_x_values(q, values_a)
-    spq = substitute_x_values(p * q, values_a)
-    assert spq == sp * sq
-    assert substitute_x_values(p + q, values_a) == sp + sq
+    (sp,) = substitute_x_values(p, values_a)
+    (sq,) = substitute_x_values(q, values_a)
+    assert substitute_x_values(p * q, values_a) == (sp * sq,)
+    assert substitute_x_values(p + q, values_a) == (sp + sq,)
 
 
 def test_substitution_examples():
@@ -425,17 +411,28 @@ def test_substitution_examples():
     z = TracePolynomial.z_var(d)
     one = (Cyclotomic.one(d), Cyclotomic.one(d))
     zero = (Cyclotomic.one(d), Cyclotomic.zero(d))
-    assert substitute_x_values(x1, one) == RatFunc.from_scalar(d, 1)
-    assert substitute_x_values(z, one) == RatFunc.z_var(d)
-    assert substitute_x_values(x1 * z, zero).is_zero()
+    assert substitute_x_values(x1, one) == (RatFunc.from_scalar(1),)
+    assert substitute_x_values(z, one) == (RatFunc.z_var(),)
+    assert substitute_x_values(x1 * z, zero) == (RatFunc.from_scalar(0),)
+
+
+def test_substitution_returns_power_basis_coordinates():
+    # x_1 = zeta_3 under S = {1}: coordinates (0, 1) on the basis 1, zeta_3
+    sol = solution_from_subset(3, {1})
+    x1 = TracePolynomial.x_var(3, 1)
+    assert substitute_x_values(x1, sol.values) == (RatFunc.from_scalar(0), RatFunc.from_scalar(1))
+    # x_1 x_2 = zeta_3^3 = 1 is rational, x_1 is not
+    assert trace_poly_substitute(x1 * TracePolynomial.x_var(3, 2), sol) == RatFunc.from_scalar(1)
+    with pytest.raises(IrrationalTraceError):
+        trace_poly_substitute(x1, sol)
 
 
 def test_substitution_clears_negative_u_powers():
     d = 1
     p = TracePolynomial.from_scalar(d, LaurentU.from_dict({-2: 1, 1: 3}))
-    f = substitute_x_values(p, (Cyclotomic.one(d),))
+    (f,) = substitute_x_values(p, (Cyclotomic.one(d),))
     # (u^-2 + 3u) = (1 + 3u^3)/u^2
-    u = RatFunc.u_var(d)
+    u = RatFunc.u_var()
     assert f == (1 + 3 * u**3) / u**2
 
 

@@ -16,6 +16,7 @@ from yhecke.exactnum import (
     RatFunc,
     TracePolynomial,
     laurent_u_minus_one,
+    substitute_x_values,
     trace_poly_substitute,
 )
 from yhecke.trace import markov_trace, trace_of_braid
@@ -96,8 +97,8 @@ def test_trace_d1_sigma_squared():
 def test_trace_of_braid_substituted():
     sol = solution_from_subset(3, {0, 1, 2})
     f = trace_of_braid(3, parse_braid("1 1 1"), sol)
-    u = RatFunc.u_var(3)
-    z = RatFunc.z_var(3)
+    u = RatFunc.u_var()
+    z = RatFunc.z_var()
     zeta = Fraction(1, 3)
     assert f == (u * u - u + 1) * z - (u * u - u) * zeta
 
@@ -170,7 +171,7 @@ def test_trace_of_idempotent_is_zeta_under_solutions(d):
     for subset in enumerate_subsets(d):
         sol = solution_from_subset(d, subset)
         val = trace_poly_substitute(tr, sol)
-        assert val == RatFunc.from_scalar(d, zeta_value(sol))
+        assert val == RatFunc.from_scalar(zeta_value(sol))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -185,9 +186,9 @@ def test_factorization_under_solutions(d):
         lhs = markov_trace(multiply(embed(a, n + 1), e_n))
         rhs = markov_trace(a)
         for sol in solutions:
-            assert trace_poly_substitute(lhs, sol) == trace_poly_substitute(
-                rhs, sol
-            ) * RatFunc.from_scalar(d, zeta_value(sol))
+            assert substitute_x_values(lhs, sol.values) == tuple(
+                f * zeta_value(sol) for f in substitute_x_values(rhs, sol.values)
+            )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -196,18 +197,35 @@ def test_trace_inverse_rule_under_solutions(d):
     rng = random.Random(d * 13)
     n = 2
     g_inv = generator_inverse(d, n + 1, n)
-    u = RatFunc.u_var(d)
-    z = RatFunc.z_var(d)
+    u = RatFunc.u_var()
+    z = RatFunc.z_var()
     for subset in enumerate_subsets(d):
         sol = solution_from_subset(d, subset)
         factor = (z + (u - 1) * zeta_value(sol)) / u
         for _ in range(5):
             a = random_element(rng, d, n)
-            lhs = trace_poly_substitute(
-                markov_trace(multiply(embed(a, n + 1), g_inv)), sol
+            lhs = substitute_x_values(
+                markov_trace(multiply(embed(a, n + 1), g_inv)), sol.values
             )
-            rhs = factor * trace_poly_substitute(markov_trace(a), sol)
+            rhs = tuple(factor * f for f in substitute_x_values(markov_trace(a), sol.values))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_substituted_braid_traces_are_rational(d):
+    """Under every subset solution the trace of a braid image has zero
+    coordinates on zeta_d^i for i >= 1, and trace_of_braid returns
+    coordinate 0."""
+    rng = random.Random(500 + d)
+    solutions = [solution_from_subset(d, S) for S in enumerate_subsets(d)]
+    for n in (2, 3, 4):
+        for _ in range(3):
+            b = random_braid(rng, n, len_max=5)
+            poly = trace_of_braid(d, b)
+            for sol in solutions:
+                value, *rest = substitute_x_values(poly, sol.values)
+                assert all(f.is_zero() for f in rest)
+                assert trace_of_braid(d, b, sol) == value
 
 
 # -- the integer kernel ----------------------------------------------------------
