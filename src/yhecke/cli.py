@@ -15,10 +15,12 @@ reports bad corpus records, prefixes corpus text lines with the record name
 and writes the JSON document.
 
 Results go to stdout, diagnostics (argparse's usage messages included) to
-stderr.  Exit codes: 0 success, 1 parse/validation error, 2 mathematical
-precondition violation, 3 internal coherence failure.  Output for a fixed
-input and seed is byte-identical across runs; numeric evaluation
-(--eval-u/--eval-z) is double precision and labeled approximate.
+stderr.  Exit codes: 0 success, 1 parse/validation error or a stdout closed
+early (silently), 2 mathematical precondition violation, 3 internal
+coherence failure.  Output for a fixed input and seed is byte-identical
+across runs; numeric evaluation (--eval-u/--eval-z) is double precision and
+labeled approximate, and tells a pole (an exact denominator vanishes at the
+binary values of u and z) from a value double precision cannot represent.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from .invariant import (
     InvariantValue,
     delta_invariant,
     evaluate_numeric,
+    lambda_param,
     skein_check,
 )
 from .trace import markov_trace, trace_of_braid
@@ -213,21 +216,29 @@ def _numeric_point(args) -> "tuple[complex, complex] | None":
     return _parse_complex(args.eval_u), _parse_complex(args.eval_z)
 
 
-def _approx(point: tuple[complex, complex], evaluate, *args) -> dict:
-    """The labeled approximate value ``evaluate(*args, u, z)``; a pole there,
-    or a value beyond double precision, is a precondition violation."""
+def _vanishes_at(p: PolyUZ, u: complex, z: complex) -> bool:
+    """Whether p is exactly zero at the binary values of u and z, computed
+    in Q(i) = Q(zeta_4)."""
+    i = Cyclotomic.root(4, 1)
+    u, z = (Fraction(x.real) + i * Fraction(x.imag) for x in (u, z))
+    return sum((u**ue * z**ze * c for (ue, ze), c in p.terms), Cyclotomic.zero(4)).is_zero()
+
+
+def _approx(point: tuple[complex, complex], dens: Sequence[PolyUZ], evaluate, *args) -> dict:
+    """The labeled approximate value ``evaluate(*args, u, z)``, whose exact
+    denominators are ``dens``.  A pole there, or a value that double
+    precision cannot represent, is a precondition violation."""
+    at = f"u={point[0]}, z={point[1]}"
     try:
         value = evaluate(*args, *point)
     except ZeroDivisionError as exc:
-        raise PreconditionError(f"u={point[0]}, z={point[1]} is a pole ({exc})") from exc
+        if any(_vanishes_at(den, *point) for den in dens):
+            raise PreconditionError(f"{at} is a pole ({exc})") from exc
+        raise PreconditionError(f"the value at {at} is not representable in double precision ({exc})") from exc
     except OverflowError as exc:
-        raise PreconditionError(
-            f"the value at u={point[0]}, z={point[1]} overflows double precision ({exc})"
-        ) from exc
+        raise PreconditionError(f"the value at {at} overflows double precision ({exc})") from exc
     if not cmath.isfinite(value):
-        raise PreconditionError(
-            f"the value at u={point[0]}, z={point[1]} is not finite in double precision"
-        )
+        raise PreconditionError(f"the value at {at} is not finite in double precision")
     return _json_complex(value)
 
 
@@ -293,7 +304,8 @@ def _cmd_invariant(args, out, err) -> int:
             "invariant": _json_invariant(value),
         }
         if point is not None:
-            fields["approx"] = _approx(point, evaluate_numeric, value, sol)
+            dens = (value.body.den, lambda_param(d, sol).den)
+            fields["approx"] = _approx(point, dens, evaluate_numeric, value, sol)
         return fields, lambda: [
             f"Delta[{render_subset(d, subset)}]({format_braid(braid)}) = {value}", *_approx_lines(point, fields)
         ]
@@ -317,7 +329,7 @@ def _cmd_trace(args, out, err) -> int:
         else:
             fields = {"d": d, "subset": sorted(sol.subset), "trace": _json_ratfunc(value, d)}
         if point is not None:
-            fields["approx"] = _approx(point, value.eval_complex)
+            fields["approx"] = _approx(point, (value.den,), value.eval_complex)
         return fields, lambda: [f"tr_{d}({format_braid(braid)}) = {value}", *_approx_lines(point, fields)]
 
     return _run_records(args, out, err, record)
@@ -609,7 +621,13 @@ def main(argv: "Sequence[str] | None" = None, out=None, err=None) -> int:
     try:
         if getattr(args, "d", None) is not None and args.d < 1:
             raise PreconditionError(f"modulus d must be positive, got {args.d}")
-        return args.func(args, out, err)
+        code = args.func(args, out, err)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; the flush at shutdown goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE

@@ -32,10 +32,8 @@ def e_polynomial(d: int, m: int, values: Sequence[Cyclotomic]) -> Cyclotomic:
     """
     if len(values) != d:
         raise ValueError(f"expected {d} values, got {len(values)}")
-    acc = Cyclotomic.zero(values[0].order)
-    for s in range(d):
-        acc = acc + values[(m + s) % d] * values[(d - s) % d]
-    return acc
+    terms = (values[(m + s) % d] * values[(d - s) % d] for s in range(d))
+    return sum(terms, Cyclotomic.zero(values[0].order))
 
 
 def verify_solution(d: int, values: Sequence[Cyclotomic]) -> bool:
@@ -82,19 +80,21 @@ class ESolution:
 def solution_from_subset(d: int, subset: Iterable[int]) -> ESolution:
     """The solution with x_k = (1/|S|) sum_{s in S} zeta_d^{sk}.
 
+    Each x_k is one character sum: the counts of s k mod d over s in S,
+    as a polynomial in zeta_d over |S|, reduced once mod Phi_d.
+
     >>> solution_from_subset(2, {0, 1}).values[1].is_zero()
     True
     """
     s = frozenset(x % d for x in subset)
     if not s:
         raise ValueError("the parametrizing subset must be non-empty")
-    inv_size = Fraction(1, len(s))
     values = []
     for k in range(d):
-        acc = Cyclotomic.zero(d)
+        counts = [0] * d
         for a in s:
-            acc = acc + Cyclotomic.root(d, a * k)
-        values.append(acc * inv_size)
+            counts[a * k % d] += 1
+        values.append(Cyclotomic.from_powers(d, counts, len(s)))
     return ESolution(d, s, tuple(values))
 
 

@@ -3,9 +3,11 @@
 Everything here is exact and immutable:
 
 - rationals are stdlib ``fractions.Fraction``;
-- ``Cyclotomic`` is a number in Q(zeta_d), stored in the power basis
-  1, zeta_d, ..., zeta_d^(phi(d)-1) and reduced modulo the d-th cyclotomic
-  polynomial, so equality of values is equality of coefficient vectors;
+- ``Cyclotomic`` is a number in Q(zeta_d), stored as phi(d) integer
+  numerators over one positive denominator in lowest terms, in the power
+  basis 1, zeta_d, ..., zeta_d^(phi(d)-1).  Products are reduced modulo the
+  monic integer cyclotomic polynomial Phi_d by the same integer division
+  that builds Phi_d, so equality of values is equality of fields;
 - ``LaurentU`` is a Laurent polynomial in the variable u over Q;
 - ``TracePolynomial`` is a polynomial in z and x_1..x_{d-1} whose
   coefficients are ``LaurentU`` (x_0 is identified with the constant 1);
@@ -30,6 +32,7 @@ first, then lexicographically with z before u before x_1 before x_2, etc.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,59 +46,43 @@ class OrderMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over Q (dense lists, low degree first).
-# Only used internally, for cyclotomic polynomials and power-basis reduction.
+# Cyclotomic polynomials: monic, with integer coefficients, low degree first.
 # ---------------------------------------------------------------------------
 
-_QPoly = tuple  # tuple[Fraction, ...] with no trailing zeros ("zero" is ())
-
-
-def _qp_trim(cs: Sequence[Fraction]) -> _QPoly:
-    i = len(cs)
-    while i > 0 and cs[i - 1] == 0:
-        i -= 1
-    return tuple(cs[:i])
-
-
-def _qp_divmod(a: _QPoly, b: _QPoly) -> tuple[_QPoly, _QPoly]:
-    assert b, "division by the zero polynomial"
-    rem = list(a)
-    lead = b[-1]
-    db = len(b) - 1
-    quot = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
+def _divmod_monic(a: Sequence[int], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of the integer polynomial a by the monic b.
+    The remainder has exactly deg(b) entries."""
+    deg = len(b) - 1
+    rem = list(a) + [0] * (deg - len(a))
+    quot = [0] * max(len(a) - deg, 0)
+    for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
-        if c == 0:
-            continue
-        q = c / lead
-        quot[i - db] = q
-        for j in range(db + 1):
-            rem[i - db + j] -= q * b[j]
-    return _qp_trim(quot), _qp_trim(rem)
-
-
-def _divisors(d: int) -> list[int]:
-    return [e for e in range(1, d + 1) if d % e == 0]
+        if c:
+            quot[i - deg] = c
+            for j in range(deg):
+                rem[i - deg + j] -= c * b[j]
+    return tuple(quot), tuple(rem[:deg])
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> tuple[Fraction, ...]:
-    """The d-th cyclotomic polynomial, low degree first.
-
-    Computed by exact division of x^d - 1 by the cyclotomic polynomials of
-    the proper divisors of d.
+def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
+    """The d-th cyclotomic polynomial Phi_d, low degree first.  It is monic
+    with integer coefficients: x^d - 1 divided exactly by Phi_e for every
+    proper divisor e of d.
 
     >>> cyclotomic_polynomial(1)
-    (Fraction(-1, 1), Fraction(1, 1))
+    (-1, 1)
     >>> cyclotomic_polynomial(6)
-    (Fraction(1, 1), Fraction(-1, 1), Fraction(1, 1))
+    (1, -1, 1)
     """
     if d < 1:
         raise ValueError(f"order must be positive, got {d}")
-    poly: _QPoly = _qp_trim([Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)])
-    for e in _divisors(d)[:-1]:
-        poly, rem = _qp_divmod(poly, cyclotomic_polynomial(e))
-        assert not rem
+    poly = (-1,) + (0,) * (d - 1) + (1,)
+    for e in range(1, d):
+        if d % e == 0:
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(e))
+            if any(rem):
+                raise ArithmeticError(f"Phi_{e} does not divide x^{d} - 1 exactly")
     return poly
 
 
@@ -118,28 +105,42 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 @dataclass(frozen=True)
 class Cyclotomic:
-    """A number in Q(zeta_d), in the power basis reduced mod the d-th
-    cyclotomic polynomial.  ``coeffs`` always has exactly phi(d) entries,
-    so equality of values is equality of the dataclass fields.
+    """A number (1/den) * sum num[i] zeta_d^i in Q(zeta_d), in the power
+    basis reduced mod the d-th cyclotomic polynomial.  ``num`` always has
+    exactly phi(d) integer entries, and den > 0 is coprime to them (zero is
+    0/1), so equality of values is equality of the dataclass fields.
+    ``coeffs`` is the rational view, num[i] / den.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if self.order < 1 or len(self.coeffs) != euler_phi(self.order):
-            raise ValueError(f"order {self.order} needs phi(order) coefficients, got {len(self.coeffs)}")
+        if self.order < 1 or len(self.num) != euler_phi(self.order):
+            raise ValueError(f"order {self.order} needs phi(order) numerators, got {len(self.num)}")
+        if not all(isinstance(c, int) for c in (self.den, *self.num)):
+            raise ValueError(f"numerators {self.num!r} and denominator {self.den!r} must be ints")
+        if not self.den:
+            raise ValueError("zero denominator in a cyclotomic number")
+        g = math.gcd(self.den, *self.num)
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "num", tuple(c // g for c in self.num))
+            object.__setattr__(self, "den", self.den // g)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def from_powers(order: int, raw: Sequence[int], den: int = 1) -> Cyclotomic:
+        """(1/den) * sum raw[i] zeta_d^i, for any number of integers raw."""
+        return Cyclotomic(order, _divmod_monic(raw, cyclotomic_polynomial(order))[1], den)
+
+    @staticmethod
     def from_rational(order: int, value: Scalar) -> Cyclotomic:
-        phi = euler_phi(order)
         v = _as_fraction(value)
-        if order == 1:
-            # Phi_1 = x - 1, so the basis element "1" is the single slot.
-            return Cyclotomic(1, (v,))
-        return Cyclotomic(order, (v,) + (Fraction(0),) * (phi - 1))
+        return Cyclotomic(order, (v.numerator,) + (0,) * (euler_phi(order) - 1), v.denominator)
 
     @staticmethod
     def zero(order: int) -> Cyclotomic:
@@ -152,23 +153,24 @@ class Cyclotomic:
     @staticmethod
     def root(order: int, a: int) -> Cyclotomic:
         """zeta_d^a in canonical form (x^a reduced mod the cyclotomic polynomial)."""
-        a %= order
-        raw = [Fraction(0)] * (a + 1)
-        raw[a] = Fraction(1)
-        return Cyclotomic(order, _reduce_mod_cyclotomic(order, raw))
+        return Cyclotomic.from_powers(order, (0,) * (a % order) + (1,))
 
     # -- queries -------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -187,12 +189,14 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        den = math.lcm(self.den, o.den)
+        fa, fb = den // self.den, den // o.den
+        return Cyclotomic(self.order, tuple(a * fa + b * fb for a, b in zip(self.num, o.num)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return Cyclotomic(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -210,13 +214,12 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        conv = [Fraction(0)] * (2 * len(self.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
+        conv = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        return Cyclotomic(self.order, _reduce_mod_cyclotomic(self.order, conv))
+                for j, b in enumerate(o.num):
+                    conv[i + j] += a * b
+        return Cyclotomic.from_powers(self.order, conv, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -248,21 +251,6 @@ class Cyclotomic:
                 body = mono if mag == 1 else f"{mag}*{mono}"
                 parts.append((c < 0, body))
         return _join_signed(parts)
-
-
-def _reduce_mod_cyclotomic(order: int, raw: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    phi_poly = cyclotomic_polynomial(order)
-    deg = len(phi_poly) - 1
-    rem = list(raw)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        for j in range(deg + 1):
-            rem[i - deg + j] -= c * phi_poly[j]
-    rem = rem[:deg]
-    rem += [Fraction(0)] * (deg - len(rem))
-    return tuple(rem)
 
 
 def _join_signed(parts: list[tuple[bool, str]]) -> str:
@@ -387,9 +375,6 @@ class LaurentU:
             base = base * base
             k >>= 1
         return acc
-
-    def eval_complex(self, u: complex) -> complex:
-        return sum((complex(c) * u**e for e, c in self.terms), 0j)
 
     def __str__(self) -> str:
         parts = []
@@ -965,9 +950,7 @@ def substitute_x_values(p: TracePolynomial, values: Sequence[Cyclotomic]) -> tup
     order = p.order
     if len(values) != order:
         raise ValueError(f"expected {order} values, got {len(values)}")
-    min_u = 0
-    for _, c in p.terms:
-        min_u = min(min_u, c.min_exponent())
+    min_u = min([0] + [c.min_exponent() for _, c in p.terms])
     coords: list[dict[_UZMono, Fraction]] = [{} for _ in range(euler_phi(order))]
     for (ze, xe), lu in p.terms:
         scalar = Cyclotomic.one(order)
@@ -976,7 +959,8 @@ def substitute_x_values(p: TracePolynomial, values: Sequence[Cyclotomic]) -> tup
                 scalar = scalar * values[idx + 1] ** e
         for ue, q in lu.terms:
             m = (ue - min_u, ze)
-            for acc, s in zip(coords, scalar.coeffs):
+            q /= scalar.den
+            for acc, s in zip(coords, scalar.num):
                 if s:
                     acc[m] = acc.get(m, 0) + s * q
     den = PolyUZ.monomial(-min_u, 0)

@@ -386,7 +386,8 @@ def _word_times_g(word: BasisWord, i: int) -> tuple[tuple[BasisWord, int, int], 
 
 def _right_multiply(terms: _Scaled, table, arg: int) -> _Scaled:
     """Every word of ``terms`` times one letter, through a cached table that
-    is scaled by d; so the result is scaled by one more factor of d."""
+    is scaled by d; so the result is scaled by one more factor of d.  Zero
+    coefficients, and words left with none, are dropped."""
     out: _Scaled = {}
     for w, poly in terms.items():
         for w2, e2, c2 in table(w, arg):
@@ -396,7 +397,12 @@ def _right_multiply(terms: _Scaled, table, arg: int) -> _Scaled:
             for e, c in poly.items():
                 k = e + e2
                 dst[k] = dst.get(k, 0) + c * c2
-    return _pruned(out)
+    for w2 in [w for w, poly in out.items() if not all(poly.values())]:
+        if kept := {e: c for e, c in out[w2].items() if c}:
+            out[w2] = kept
+        else:
+            del out[w2]
+    return out
 
 
 def _add_product(dst: dict[int, int], p: dict[int, int], q: dict[int, int], scale: int = 1):
@@ -405,15 +411,6 @@ def _add_product(dst: dict[int, int], p: dict[int, int], q: dict[int, int], scal
         for e2, c2 in q.items():
             k = e + e2
             dst[k] = dst.get(k, 0) + c * c2 * scale
-
-
-def _pruned(terms: _Scaled) -> _Scaled:
-    out: _Scaled = {}
-    for w, poly in terms.items():
-        kept = {e: c for e, c in poly.items() if c}
-        if kept:
-            out[w] = kept
-    return out
 
 
 def _times_word(terms: _Scaled, word: BasisWord) -> _Scaled:

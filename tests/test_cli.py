@@ -51,6 +51,11 @@ GOLDEN_CASES = [
         ("adelic", "--chain", "2,4,8", "--subset", "1", "--braid", "1 1 1", "--format", "json"),
         "adelic_chain_2_4_8.json",
     ),
+    (
+        ("esystem", "--d", "12", "--subset", "1,4,6", "--format", "json"),
+        "esystem_d12_subset.json",
+    ),
+    (("esystem", "--d", "9", "--subset", "0,3,4"), "esystem_d9_subset.txt"),
 ]
 
 
@@ -151,6 +156,43 @@ def test_exit_code_pole_at_evaluation_point():
     )
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("error: ") and "pole" in err and err.count("\n") == 1
+
+
+def test_underflow_at_evaluation_point_is_not_a_pole():
+    # u z^2 vanishes exactly at u = 1, z = 0; at u = 1e100, z = 1e-300 it is
+    # nonzero, and only its double precision value underflows to 0
+    base = ("invariant", "--d", "2", "--subset", "0", "--braid")
+    code, out, err = run_cli(*base, "1 1 1", "--eval-u", "1e100", "--eval-z", "1e-300")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not representable in double precision" in err and "pole" not in err
+    code, _, err = run_cli(*base, "1 1", "--eval-u", "1", "--eval-z", "0")
+    assert code == EXIT_PRECONDITION
+    assert "is a pole" in err and "double precision" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_silently(unbuffered):
+    """A reader that closes the pipe early gets exit 1 and an empty stderr:
+    no traceback, and no 'Exception ignored' line at shutdown.  Buffered,
+    the write fails only when stdout is flushed."""
+    src = str(Path(yhecke.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "yhecke.cli", "esystem", "--d", "4", "--enumerate", "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"")
 
 
 def test_exit_code_denominator_outside_family_is_internal(monkeypatch):

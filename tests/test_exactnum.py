@@ -104,17 +104,29 @@ def test_cyclotomic_order_mismatch_and_zero_division():
         Cyclotomic.root(3, 1) + Cyclotomic.root(4, 1)
 
 
+def test_cyclotomic_integer_form_is_canonical():
+    """num over den is brought to lowest terms with den > 0; zero is 0/1."""
+    x = Cyclotomic(3, (2, -4), -6)
+    assert (x.num, x.den) == ((-1, 2), 3)
+    assert x == Cyclotomic.from_rational(3, Fraction(-1, 3)) + Cyclotomic.root(3, 1) * Fraction(2, 3)
+    assert x.coeffs == (Fraction(-1, 3), Fraction(2, 3))
+    zero = Cyclotomic(4, (0, 0), -5)
+    assert (zero.num, zero.den) == ((0, 0), 1) and zero == Cyclotomic.zero(4)
+    # zeta_4^6 = zeta_4^2 = -1
+    assert Cyclotomic.from_powers(4, (0, 0, 0, 0, 0, 0, 1), 2) == Cyclotomic.from_rational(4, Fraction(-1, 2))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 12])
 def test_cyclotomic_field_axioms_random(d):
     rng = random.Random(20 + d)
 
     def rand_elt():
-        return Cyclotomic(
-            d,
-            tuple(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                for _ in range(euler_phi(d))
+        return sum(
+            (
+                Cyclotomic.root(d, i) * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for i in range(euler_phi(d))
             ),
+            Cyclotomic.zero(d),
         )
 
     for _ in range(25):
@@ -448,10 +460,16 @@ INVALID_EXACT_VALUES = (
     "TracePolynomial(2, (((-1, (0, 0)), LaurentU.zero()),))",
     # one coefficient where phi(4) = 2
     "Cyclotomic(4, (Fraction(1),))",
+    # a numerator that is not an int
+    "Cyclotomic(3, (Fraction(1, 2), 0))",
+    # a zero denominator
+    "Cyclotomic(3, (1, 0), 0)",
 )
 
 
-@pytest.mark.parametrize("expr", INVALID_EXACT_VALUES, ids=["trace_polynomial", "cyclotomic"])
+@pytest.mark.parametrize(
+    "expr", INVALID_EXACT_VALUES, ids=["trace_polynomial", "cyclotomic", "cyclotomic_fraction", "cyclotomic_zero_den"]
+)
 def test_invalid_trace_polynomial_and_cyclotomic_rejected(expr):
     with pytest.raises(ValueError):
         eval(expr)
@@ -474,4 +492,4 @@ def test_invalid_trace_polynomial_and_cyclotomic_rejected_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "raised"] * 2
+    assert proc.stdout.split() == ["False", "raised"] * len(INVALID_EXACT_VALUES)

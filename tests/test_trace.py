@@ -228,6 +228,22 @@ def test_substituted_braid_traces_are_rational(d):
                 assert trace_of_braid(d, b, sol) == value
 
 
+def test_substituted_braid_trace_depends_only_on_subset_size():
+    """The trace of a braid at (d, S) equals its trace at (|S|, Z/|S|Z), the
+    full subset, where every x_m with m != 0 is 0."""
+    rng = random.Random(77)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            b = random_braid(rng, n, len_max=7)
+            full = {
+                k: trace_of_braid(k, b, solution_from_subset(k, range(k)))
+                for k in range(1, (3 if n == 4 else 5) + 1)
+            }
+            for d in range(1, len(full) + 1):
+                for S in enumerate_subsets(d):
+                    assert trace_of_braid(d, b, solution_from_subset(d, S)) == full[len(S)], (d, S, b)
+
+
 # -- the integer kernel ----------------------------------------------------------
 
 @pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 3), (4, 2), (4, 3), (2, 4), (4, 4)])
