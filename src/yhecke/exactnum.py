@@ -19,12 +19,11 @@ Everything here is exact and immutable:
   monomial content and synthetic division by l.
 
 Cyclotomic numbers appear only in the E-system values and in the one
-substitution of those values into a trace polynomial
-(``substitute_x_values``).  For classical links the substituted trace is
-rational: it depends on the solution only through 1/|S|.  The substitution
-returns the power-basis coordinates of its result, and
-``trace_poly_substitute`` checks once that all but the first are zero, so
-invariant bodies are carried over Q.
+substitution of those values into a trace polynomial (``substitute_x_values``).
+A braid's trace at a solution is rational and depends only on |S|, so
+``trace.trace_of_braid`` substitutes the full subset of Z/|S|Z (values 0 and 1);
+a (d, S) substitution is the test oracle.  ``trace_poly_substitute`` checks once
+that all power-basis coordinates but the first are zero: bodies are over Q.
 
 Monomial orders, and hence all renderings, are deterministic: total degree
 first, then lexicographically with z before u before x_1 before x_2, etc.

@@ -13,9 +13,11 @@ Evaluation works basis word by basis word, reducing the strand count:
   t_{n-1}), and use cyclicity: tr(x g_{n-1} y) = z tr(y x) with x, y one
   strand down.
 
-Word traces are cached as integer triples over a power of d, the integer
-form ``yokonuma`` stores elements in; ``markov_trace`` reads it directly and
-builds ``LaurentU`` coefficients only for the returned polynomial.
+Word traces are cached as integer triples over a power of d, the integer form of
+``yokonuma``; ``markov_trace`` builds ``LaurentU`` coefficients only for its result.
+
+Under an E-system solution (d, S) a braid's trace depends only on k = |S|, so
+``trace_of_braid`` computes it in Y_{k,n} at the full subset, where x_m = 0 for m != 0.
 
 Uniqueness of the trace is certified by the property suite (cyclicity and
 the two multiplicative rules on random elements) rather than assumed.
@@ -26,7 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .braid import BraidWord
-from .exactnum import LaurentU, RatFunc, TracePolynomial, trace_poly_substitute
+from .esystem import solution_from_subset
+from .exactnum import LaurentU, OrderMismatchError, RatFunc, TracePolynomial, trace_poly_substitute
 from .yokonuma import (
     AlgebraElement,
     BasisWord,
@@ -121,10 +124,13 @@ def markov_trace(a: AlgebraElement) -> TracePolynomial:
 
 
 def trace_of_braid(d: int, b: BraidWord, sol=None) -> "TracePolynomial | RatFunc":
-    """Trace of the image of a braid in Y_{d,n}; if an E-system solution is
-    given, its exact values are substituted for the x_m, which gives a
-    rational function in u, z over Q."""
-    poly = markov_trace(represent_braid(d, b))
+    """Trace of the image of a braid in Y_{d,n}; given an E-system solution of
+    order d, its value there over Q, computed in Y_{|S|,n} at the full subset.
+    The oracle: ``trace_poly_substitute(markov_trace(represent_braid(d, b)), sol)``."""
     if sol is None:
-        return poly
-    return trace_poly_substitute(poly, sol)
+        return markov_trace(represent_braid(d, b))
+    if sol.d != d:
+        raise OrderMismatchError(f"trace polynomial order {d} does not match solution order {sol.d}")
+    k = len(sol.subset)
+    full = sol if k == d else solution_from_subset(k, range(k))
+    return trace_poly_substitute(markov_trace(represent_braid(k, b)), full)

@@ -16,9 +16,10 @@ import yhecke.cli
 import yhecke.esystem
 import yhecke.trace
 from yhecke.cli import EXIT_COHERENCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
-from yhecke.exactnum import PolyUZ, RatFunc, TracePolynomial
+from yhecke.exactnum import IrrationalTraceError, PolyUZ, RatFunc
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -56,6 +57,14 @@ GOLDEN_CASES = [
         "esystem_d12_subset.json",
     ),
     (("esystem", "--d", "9", "--subset", "0,3,4"), "esystem_d9_subset.txt"),
+    (
+        ("invariant", "--d", "4", "--subset", "0,1", "--braid", "1 2 -3 4 -1 2 3 -4 -2 1 3 4", "--format", "json"),
+        "invariant_5strand_d4.json",
+    ),
+    (
+        ("adelic", "--chain", "2,4,8", "--subset", "0", "--braid", "1 -2 3 2 -1 -3 2 1 -2 3", "--format", "json"),
+        "adelic_4strand_2_4_8.json",
+    ),
 ]
 
 
@@ -205,10 +214,37 @@ def test_exit_code_denominator_outside_family_is_internal(monkeypatch):
 
 
 def test_irrational_substituted_trace_is_internal(monkeypatch):
-    monkeypatch.setattr(yhecke.trace, "markov_trace", lambda a: TracePolynomial.x_var(a.d, 1))
+    def irrational(p, sol):
+        raise IrrationalTraceError(f"a trace polynomial of order {p.order} is not rational at the solution")
+
+    monkeypatch.setattr(yhecke.trace, "trace_poly_substitute", irrational)
     code, out, err = run_cli("trace", "--d", "3", "--subset", "1", "--braid", "1")
     assert code == EXIT_COHERENCE and out == ""
     assert err.startswith("internal failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("--d", "3", "--subset", "1", "--braid", "1 1 1"), EXIT_OK),
+        (("--d", "3", "--subset", "", "--braid", "1"), EXIT_PRECONDITION),
+        (("--d", "0", "--subset", "0", "--braid", "1"), EXIT_PRECONDITION),
+        (("--d", "2", "--subset", "0", "--braid", "1 x"), EXIT_USAGE),
+        (("--d", "2", "--subset", "0", "--braid", "-1", "--eval-u", "0", "--eval-z", "1"), EXIT_PRECONDITION),
+    ],
+)
+def test_trace_subset_exit_codes(argv, expected):
+    code, out, err = run_cli("trace", *argv)
+    assert code == expected
+    assert (out == "") == (code != EXIT_OK) and (err == "") == (code == EXIT_OK)
+
+
+def test_bench_tracer_installs_on_the_current_entry_points():
+    """The traced benchmark wraps entry points by name; a renamed one fails here."""
+    code = "import sys; sys.path.insert(0, 'bench'); from tracing import Tracer; Tracer().install()"
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "1+infj"])

@@ -268,3 +268,20 @@ def test_lambda_is_shared_by_solutions_with_one_zeta():
     b = lambda_param(4, solution_from_subset(4, {1, 3}))
     assert a is b
     assert lambda_param(4, solution_from_subset(4, {0})) != a
+
+
+KNOTS = ["1 1 1", "1 -2 1 -2", "1 1 1 2 -1 2", "1 2 -3 4 -1 2 3 -4 -2 1 3 4"]
+SUBSET_PAIRS = [(2, {0, 1}), (3, {0, 1, 2}), (3, {1}), (4, {0, 2}), (4, {0, 1, 3}), (6, {0, 2, 4})]
+
+
+@pytest.mark.parametrize("word", KNOTS)
+def test_knot_invariant_is_homflypt_with_z_scaled_by_subset_size(word):
+    """An oracle that never forms Y_{d,n} with d > 1: for a knot the invariant
+    at (d, S) is the HOMFLYPT specialization with z replaced by |S| z, with
+    the same sqrt(lambda) parity."""
+    b = parse_braid(word)
+    base = homflypt_specialize(b)
+    for d, subset in SUBSET_PAIRS:
+        value = delta_invariant(d, solution_from_subset(d, subset), b)
+        scaled = base.body.substitute(RatFunc.u_var(), RatFunc.z_var() * len(subset))
+        assert (value.half, value.body) == (base.half, scaled), (word, d, subset)

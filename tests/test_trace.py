@@ -13,6 +13,7 @@ from yhecke.braid import parse_braid
 from yhecke.esystem import enumerate_subsets, solution_from_subset, zeta_value
 from yhecke.exactnum import (
     LaurentU,
+    OrderMismatchError,
     RatFunc,
     TracePolynomial,
     laurent_u_minus_one,
@@ -230,7 +231,8 @@ def test_substituted_braid_traces_are_rational(d):
 
 def test_substituted_braid_trace_depends_only_on_subset_size():
     """The trace of a braid at (d, S) equals its trace at (|S|, Z/|S|Z), the
-    full subset, where every x_m with m != 0 is 0."""
+    full subset, where every x_m with m != 0 is 0, and both equal the full
+    computation in Y_{d,n} substituted at (d, S)."""
     rng = random.Random(77)
     for n in (2, 3, 4):
         for _ in range(4):
@@ -240,8 +242,17 @@ def test_substituted_braid_trace_depends_only_on_subset_size():
                 for k in range(1, (3 if n == 4 else 5) + 1)
             }
             for d in range(1, len(full) + 1):
+                poly = markov_trace(represent_braid(d, b))
                 for S in enumerate_subsets(d):
-                    assert trace_of_braid(d, b, solution_from_subset(d, S)) == full[len(S)], (d, S, b)
+                    sol = solution_from_subset(d, S)
+                    assert trace_of_braid(d, b, sol) == full[len(S)], (d, S, b)
+                    assert trace_poly_substitute(poly, sol) == full[len(S)], (d, S, b)
+
+
+def test_trace_of_braid_rejects_a_solution_of_another_order():
+    b = parse_braid("1 1 1")
+    with pytest.raises(OrderMismatchError, match="order 3 does not match solution order 2"):
+        trace_of_braid(3, b, solution_from_subset(2, {0}))
 
 
 # -- the integer kernel ----------------------------------------------------------
