@@ -125,12 +125,12 @@ def markov_trace(a: AlgebraElement) -> TracePolynomial:
 
 def trace_of_braid(d: int, b: BraidWord, sol=None) -> "TracePolynomial | RatFunc":
     """Trace of the image of a braid in Y_{d,n}; given an E-system solution of
-    order d, its value there over Q, computed in Y_{|S|,n} at the full subset.
+    order d, its value there over Q, computed in Y_{|S|,n} at the full subset
+    of Z/|S|Z, whose solution comes from the cache of ``solution_from_subset``.
     The oracle: ``trace_poly_substitute(markov_trace(represent_braid(d, b)), sol)``."""
     if sol is None:
         return markov_trace(represent_braid(d, b))
     if sol.d != d:
         raise OrderMismatchError(f"trace polynomial order {d} does not match solution order {sol.d}")
     k = len(sol.subset)
-    full = sol if k == d else solution_from_subset(k, range(k))
-    return trace_poly_substitute(markov_trace(represent_braid(k, b)), full)
+    return trace_poly_substitute(markov_trace(represent_braid(k, b)), solution_from_subset(k, range(k)))

@@ -282,6 +282,7 @@ def test_braid_too_deep_to_trace_is_a_precondition_violation():
 
 
 def test_failed_esystem_check_on_computed_solution_is_internal(monkeypatch):
+    yhecke.esystem._solution.cache_clear()  # a cached (2, {0}) would skip the check
     monkeypatch.setattr(yhecke.esystem, "verify_solution", lambda d, values: False)
     for argv in (
         ("invariant", "--d", "2", "--subset", "0", "--braid", "1"),
@@ -291,6 +292,24 @@ def test_failed_esystem_check_on_computed_solution_is_internal(monkeypatch):
         code, out, err = run_cli(*argv)
         assert code == EXIT_COHERENCE and out == ""
         assert err.startswith("internal failure: ") and "E-system" in err
+
+
+def test_adelic_corpus_builds_each_solution_once(monkeypatch, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a;2: 1 1 1\nb;3: 1 -2 1 2\nc;2: 1 -1 1\n", encoding="utf-8")
+    argv = ("adelic", "--chain", "2,4,8", "--subset", "0", "--corpus", str(corpus), "--format", "json")
+    with monkeypatch.context() as m:
+        m.setattr(yhecke.esystem, "_solution", yhecke.esystem._solution.__wrapped__)
+        uncached = run_cli(*argv)
+    calls = []
+    real = yhecke.esystem.verify_solution
+    monkeypatch.setattr(
+        yhecke.esystem, "verify_solution", lambda d, values: calls.append(d) or real(d, values)
+    )
+    yhecke.esystem._solution.cache_clear()
+    assert run_cli(*argv) == uncached and uncached[0] == EXIT_OK
+    # caller solutions (2,{0}), (4,{0,2}), (8,{0,2,4,6}); full subsets at k = 1, 2, 4
+    assert sorted(calls) == [1, 2, 2, 4, 4, 8]
 
 
 def test_argparse_usage_error_goes_to_given_err(capsys):
