@@ -181,9 +181,7 @@ def adelic_delta(
     its own zeta = 1/|S_j| = d_1/(|S| d_j).
     """
     d1 = chain.entries[0]
-    base = frozenset(x % d1 for x in subset)
-    if not base:
-        raise ValueError("the base subset must be non-empty")
+    base = frozenset(subset)
     out = []
     for d in chain.entries:
         lifted = lift_subset(d1, d, base)

@@ -68,7 +68,6 @@ from .esystem import (
 from .exactnum import (
     Cyclotomic,
     DenominatorFamilyError,
-    IrrationalTraceError,
     LaurentU,
     OrderMismatchError,
     PolyUZ,
@@ -637,7 +636,7 @@ def main(argv: "Sequence[str] | None" = None, out=None, err=None) -> int:
     except CoherenceError as exc:
         print(f"internal coherence failure: {exc}", file=err)
         return EXIT_COHERENCE
-    except (DenominatorFamilyError, ESystemError, InexactDivisionError, IrrationalTraceError) as exc:
+    except (DenominatorFamilyError, ESystemError, InexactDivisionError) as exc:
         print(f"internal failure: {exc}", file=err)
         return EXIT_COHERENCE
     except ValueError as exc:

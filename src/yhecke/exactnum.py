@@ -18,12 +18,12 @@ Everything here is exact and immutable:
   the shape every value of the invariant has, so reduction needs only the
   monomial content and synthetic division by l.
 
-Cyclotomic numbers appear only in the E-system values and in the one
-substitution of those values into a trace polynomial (``substitute_x_values``).
-A braid's trace at a solution is rational and depends only on |S|, so
-``trace.trace_of_braid`` substitutes the full subset of Z/|S|Z (values 0 and 1);
-a (d, S) substitution is the test oracle.  ``trace_poly_substitute`` checks once
-that all power-basis coordinates but the first are zero: bodies are over Q.
+Cyclotomic numbers appear only in the E-system values and in their
+substitution into a trace polynomial (``substitute_x_values``), which is the
+test oracle: ``trace.trace_of_braid`` reads a braid's value at a solution over Q
+as the x-free part of its trace in Y_{|S|,n}, and a (d, S) substitution checks
+it.  ``trace_poly_substitute`` checks once that all power-basis coordinates but
+the first are zero.
 
 Monomial orders, and hence all renderings, are deterministic: total degree
 first, then lexicographically with z before u before x_1 before x_2, etc.

@@ -17,7 +17,7 @@ Word traces are cached as integer triples over a power of d, the integer form of
 ``yokonuma``; ``markov_trace`` builds ``LaurentU`` coefficients only for its result.
 
 Under an E-system solution (d, S) a braid's trace depends only on k = |S|, so
-``trace_of_braid`` computes it in Y_{k,n} at the full subset, where x_m = 0 for m != 0.
+``trace_of_braid`` reads it over Q as the x-free part of the trace in Y_{k,n}.
 
 Uniqueness of the trace is certified by the property suite (cyclicity and
 the two multiplicative rules on random elements) rather than assumed.
@@ -28,8 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .braid import BraidWord
-from .esystem import solution_from_subset
-from .exactnum import LaurentU, OrderMismatchError, RatFunc, TracePolynomial, trace_poly_substitute
+# trace_poly_substitute stays bound here, where bench/tracing.py wraps it by name.
+from .exactnum import LaurentU, OrderMismatchError, PolyUZ, RatFunc, TracePolynomial, trace_poly_substitute
 from .yokonuma import (
     AlgebraElement,
     BasisWord,
@@ -125,12 +125,14 @@ def markov_trace(a: AlgebraElement) -> TracePolynomial:
 
 def trace_of_braid(d: int, b: BraidWord, sol=None) -> "TracePolynomial | RatFunc":
     """Trace of the image of a braid in Y_{d,n}; given an E-system solution of
-    order d, its value there over Q, computed in Y_{|S|,n} at the full subset
-    of Z/|S|Z, whose solution comes from the cache of ``solution_from_subset``.
+    order d, its value there over Q: the x-free part of the trace in Y_{|S|,n},
+    which is its value at the full subset of Z/|S|Z (x_m = 0 for m != 0).
     The oracle: ``trace_poly_substitute(markov_trace(represent_braid(d, b)), sol)``."""
     if sol is None:
         return markov_trace(represent_braid(d, b))
     if sol.d != d:
         raise OrderMismatchError(f"trace polynomial order {d} does not match solution order {sol.d}")
-    k = len(sol.subset)
-    return trace_poly_substitute(markov_trace(represent_braid(k, b)), solution_from_subset(k, range(k)))
+    p = markov_trace(represent_braid(len(sol.subset), b))
+    low = min([0] + [c.min_exponent() for _, c in p.terms])
+    num = PolyUZ.from_dict({(e - low, ze): q for (ze, xe), c in p.terms if not any(xe) for e, q in c.terms})
+    return RatFunc.make(num, PolyUZ.monomial(-low, 0))

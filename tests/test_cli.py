@@ -14,9 +14,8 @@ import pytest
 
 import yhecke.cli
 import yhecke.esystem
-import yhecke.trace
 from yhecke.cli import EXIT_COHERENCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
-from yhecke.exactnum import IrrationalTraceError, PolyUZ, RatFunc
+from yhecke.exactnum import PolyUZ, RatFunc
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,16 +212,6 @@ def test_exit_code_denominator_outside_family_is_internal(monkeypatch):
     assert code == EXIT_COHERENCE and "internal failure" in err
 
 
-def test_irrational_substituted_trace_is_internal(monkeypatch):
-    def irrational(p, sol):
-        raise IrrationalTraceError(f"a trace polynomial of order {p.order} is not rational at the solution")
-
-    monkeypatch.setattr(yhecke.trace, "trace_poly_substitute", irrational)
-    code, out, err = run_cli("trace", "--d", "3", "--subset", "1", "--braid", "1")
-    assert code == EXIT_COHERENCE and out == ""
-    assert err.startswith("internal failure: ") and err.count("\n") == 1
-
-
 @pytest.mark.parametrize(
     "argv,expected",
     [
@@ -308,8 +297,8 @@ def test_adelic_corpus_builds_each_solution_once(monkeypatch, tmp_path):
     )
     yhecke.esystem._solution.cache_clear()
     assert run_cli(*argv) == uncached and uncached[0] == EXIT_OK
-    # caller solutions (2,{0}), (4,{0,2}), (8,{0,2,4,6}); full subsets at k = 1, 2, 4
-    assert sorted(calls) == [1, 2, 2, 4, 4, 8]
+    # the caller solutions (2,{0}), (4,{0,2}), (8,{0,2,4,6}), and no other
+    assert sorted(calls) == [2, 4, 8]
 
 
 def test_argparse_usage_error_goes_to_given_err(capsys):

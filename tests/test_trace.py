@@ -9,6 +9,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_braid, random_element
+import yhecke.esystem
+import yhecke.exactnum
+import yhecke.trace
 from yhecke.braid import parse_braid
 from yhecke.esystem import enumerate_subsets, solution_from_subset, zeta_value
 from yhecke.exactnum import (
@@ -253,6 +256,23 @@ def test_trace_of_braid_rejects_a_solution_of_another_order():
     b = parse_braid("1 1 1")
     with pytest.raises(OrderMismatchError, match="order 3 does not match solution order 2"):
         trace_of_braid(3, b, solution_from_subset(2, {0}))
+
+
+def test_braid_value_at_a_solution_builds_no_solution_and_substitutes_nothing(monkeypatch):
+    """trace_of_braid reads the value at (d, S) off the trace in Y_{|S|,n}: it
+    builds and verifies no solution of its own and runs no substitution."""
+    b = parse_braid("3: 1 -2 1 2")
+    sols = [solution_from_subset(d, S) for d, S in ((4, {0, 2}), (3, {1}), (3, {0, 1, 2}), (6, {0, 2, 4}))]
+    expected = [trace_poly_substitute(markov_trace(represent_braid(s.d, b)), s) for s in sols]
+
+    def forbidden(*args):
+        raise AssertionError("called on the value path")
+
+    yhecke.esystem._solution.cache_clear()
+    monkeypatch.setattr(yhecke.esystem, "verify_solution", forbidden)
+    monkeypatch.setattr(yhecke.exactnum, "substitute_x_values", forbidden)
+    monkeypatch.setattr(yhecke.trace, "trace_poly_substitute", forbidden)
+    assert [trace_of_braid(s.d, b, s) for s in sols] == expected
 
 
 # -- the integer kernel ----------------------------------------------------------
