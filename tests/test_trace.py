@@ -3,8 +3,10 @@ E-condition, and the closed-form values used downstream."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -12,7 +14,8 @@ from conftest import random_braid, random_element
 import yhecke.esystem
 import yhecke.exactnum
 import yhecke.trace
-from yhecke.braid import parse_braid
+import yhecke.yokonuma
+from yhecke.braid import BraidWord, parse_braid
 from yhecke.esystem import enumerate_subsets, solution_from_subset, zeta_value
 from yhecke.exactnum import (
     LaurentU,
@@ -23,16 +26,19 @@ from yhecke.exactnum import (
     substitute_x_values,
     trace_poly_substitute,
 )
-from yhecke.trace import markov_trace, trace_of_braid
+from yhecke.trace import _join, _tie_expansion, markov_trace, trace_of_braid
 from yhecke.yokonuma import (
     AlgebraElement,
+    BasisWord,
     embed,
     framing_generator,
     generator,
     generator_inverse,
     idempotent_e,
     multiply,
+    power_formula,
     represent_braid,
+    transposition_perm,
 )
 
 
@@ -296,3 +302,117 @@ def test_trace_of_rational_element_is_linear():
         b = random_element(rng, d, n)
         c = LaurentU.from_dict({-1: Fraction(2, 3), 2: Fraction(-5, 7)})
         assert markov_trace(a.scale(c) + b) == markov_trace(a).scale(c) + markov_trace(b)
+
+
+# -- braid traces through E_A g_w terms -------------------------------------------
+
+def tie_element(d: int, blocks: tuple[int, ...], perm: tuple[int, ...]) -> AlgebraElement:
+    """E_A g_w in Y_{d,n} from its definition: the average of t^a g_w over all
+    framings a whose sum on every block of A is 0 mod d."""
+    n = len(perm)
+    kept = [
+        a for a in itertools.product(range(d), repeat=n)
+        if all(sum(a[j] for j in range(n) if blocks[j] == k) % d == 0 for k in set(blocks))
+    ]
+    one = LaurentU.from_scalar(Fraction(1, len(kept)))
+    return AlgebraElement(d, n, {BasisWord(d, n, a, perm): one for a in kept})
+
+
+def expansion_element(d: int, b: BraidWord) -> AlgebraElement:
+    acc = AlgebraElement.zero(d, b.strands)
+    for (blocks, perm), poly in _tie_expansion(d, b).items():
+        acc = acc + tie_element(d, blocks, perm).scale(LaurentU.from_ints(poly))
+    return acc
+
+
+def test_braid_trace_through_ties_equals_the_y_dn_oracle():
+    """trace_of_braid, which traces E_A g_w terms, is structurally equal to the
+    trace of the braid's image in Y_{d,n} for every d, also d < n where the
+    E_A are linearly dependent, and at a solution to the substitution oracle."""
+    rng = random.Random(16)
+    cases = [(d, BraidWord(n, ())) for d in (1, 4) for n in (1, 3)]
+    for d in range(1, 7):
+        for n in range(1, 6):
+            for _ in range(3):
+                cases.append((d, BraidWord(1, ()) if n == 1 else random_braid(rng, n, len_max=8, min_len=0)))
+    for d, b in cases:
+        assert trace_of_braid(d, b) == markov_trace(represent_braid(d, b)), (d, b)
+    for d, S in ((4, {0, 1, 3}), (6, {0, 2, 4})):
+        sol = solution_from_subset(d, S)
+        for n in (2, 3, 4):
+            b = random_braid(rng, n, len_max=6)
+            assert trace_of_braid(d, b, sol) == trace_poly_substitute(markov_trace(represent_braid(d, b)), sol), (d, S, b)
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 3), (2, 4)])
+def test_tie_expansion_is_the_braid_image(d, n):
+    rng = random.Random(60 + 7 * d + n)
+    for _ in range(4):
+        b = random_braid(rng, n, len_max=6, min_len=0)
+        assert expansion_element(d, b) == represent_braid(d, b), (d, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tie_rules_on_one_generator(d):
+    n, single = 3, (0, 1, 2)
+    for i in (1, 2):
+        s_i = transposition_perm(n, i)
+        for letters in ((i, -i), (-i, i)):
+            assert _tie_expansion(d, BraidWord(n, letters)) == {(single, single): {0: 1}}
+        # g_i^2 = 1 + (u - 1) e_i - (u - 1) e_i g_i, and e_i = 1 at d = 1
+        if d == 1:
+            expected = {(single, single): {1: 1}, (single, s_i): {1: -1, 0: 1}}
+        else:
+            tied = _join(single, i - 1, i)
+            expected = {(single, single): {0: 1}, (tied, single): {1: 1, 0: -1}, (tied, s_i): {1: -1, 0: 1}}
+        assert _tie_expansion(d, BraidWord(n, (i, i))) == expected
+        assert expansion_element(d, BraidWord(n, (i, i))) == power_formula(d, n, i, 2)
+
+
+def test_joined_block_labels_are_canonical():
+    assert _join((0, 1, 2, 3), 3, 1) == (0, 1, 2, 1)
+    assert _join((0, 1, 0, 2), 1, 3) == (0, 1, 0, 1)
+    assert _join((0, 1, 2, 1), 0, 2) == (0, 1, 0, 1)
+    assert _join((0, 1, 2, 1), 1, 3) == (0, 1, 2, 1)
+    assert _join((0, 1, 2, 3, 4), 4, 0) == (0, 1, 2, 3, 0)
+    rng = random.Random(8)
+    for _ in range(200):
+        blocks = (0, 1, 2, 3, 4)
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.sample(range(5), 2)
+            joined = _join(blocks, a, b)
+            groups = {frozenset(j for j in range(5) if blocks[j] == k) for k in blocks}
+            union = {g for g in groups if a in g or b in g}
+            assert {frozenset(j for j in range(5) if joined[j] == k) for k in joined} == (groups - union) | {frozenset().union(*union)}
+            # numbered 0, 1, ... by first strand
+            firsts = [joined[j] for j in range(5) if joined[j] not in joined[:j]]
+            assert firsts == list(range(len(firsts)))
+            blocks = joined
+
+
+def test_braid_traces_stay_off_the_letter_tables():
+    """A braid trace, generic or at a solution, uses none of the Y_{d,n}
+    letter tables: the rewriting is on E_A g_w terms."""
+    b = parse_braid("4: 1 -2 3 -1 2 -3 -2")
+    sol = solution_from_subset(4, {0, 2})
+    yhecke.yokonuma._word_times_letter.cache_clear()
+    yhecke.yokonuma._letter_image.cache_clear()
+    trace_of_braid(3, b)
+    trace_of_braid(4, b, sol)
+    assert yhecke.yokonuma._word_times_letter.cache_info().currsize == 0
+    assert yhecke.yokonuma._letter_image.cache_info().currsize == 0
+
+
+def test_tie_trace_cache_is_bounded_and_exact_under_eviction(monkeypatch):
+    """The tr(E_A g_w) cache is bounded; a sweep over more keys than a small
+    bound keeps it within the bound and the traces equal to the oracle's."""
+    assert yhecke.trace._tie_trace.cache_info().maxsize == yhecke.trace.TIE_TRACE_CACHE
+    small = lru_cache(maxsize=8)(yhecke.trace._tie_trace.__wrapped__)
+    monkeypatch.setattr(yhecke.trace, "_tie_trace", small)
+    rng = random.Random(9)
+    for d in (2, 3):
+        for _ in range(8):
+            b = random_braid(rng, 3, len_max=7)
+            assert trace_of_braid(d, b) == markov_trace(represent_braid(d, b)), (d, b)
+            assert small.cache_info().currsize <= 8
+    assert small.cache_info().misses > 8

@@ -428,7 +428,7 @@ def test_inexact_division_is_an_internal_failure_at_the_cli(monkeypatch):
     monkeypatch.setattr(yokonuma, "_divide_by_d", inexact)
     try:
         out, err = io.StringIO(), io.StringIO()
-        code = cli.main(["trace", "--d", "2", "--braid", "-1"], out, err)
+        code = cli.main(["verify", "--suite", "adelic-coherence"], out, err)
     finally:
         yokonuma._word_times_letter.cache_clear()
     assert code == cli.EXIT_COHERENCE and out.getvalue() == ""
