@@ -42,6 +42,7 @@ from .esystem import (
     e_polynomial,
     enumerate_subsets,
     lift_subset,
+    reduce_subset,
     render_subset,
     solution_from_subset,
     verify_solution,

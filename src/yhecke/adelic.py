@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .esystem import lift_subset, solution_from_subset
+from .esystem import lift_subset
 from .exactnum import LaurentU, TracePolynomial
 from .invariant import InvariantValue, delta_invariant
 from .trace import markov_trace
@@ -177,14 +177,8 @@ def adelic_delta(
     """The truncated adelic invariant: the tuple of per-level invariants for
     the liftings of a base subset S of Z/d_1 Z along the chain.
 
-    Lift transitivity makes the liftings mutually coherent; each level uses
-    its own zeta = 1/|S_j| = d_1/(|S| d_j).
+    Lift transitivity makes the liftings mutually coherent; level j reads
+    only |S_j| = |S| d_j/d_1, and no solution in Q(zeta_{d_j}) is built.
     """
     d1 = chain.entries[0]
-    base = frozenset(subset)
-    out = []
-    for d in chain.entries:
-        lifted = lift_subset(d1, d, base)
-        sol = solution_from_subset(d, lifted)
-        out.append(delta_invariant(d, sol, b))
-    return tuple(out)
+    return tuple(delta_invariant(d, lift_subset(d1, d, subset), b) for d in chain.entries)

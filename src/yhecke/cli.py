@@ -2,9 +2,11 @@
 
 Subcommands
 -----------
-- ``invariant``: the 2-variable invariant of a braid closure at (d, S);
-- ``trace``: the Markov trace of a braid image, generic or substituted;
-- ``esystem``: enumerate or verify E-system solutions for a modulus;
+- ``invariant``: the 2-variable invariant of a braid closure at (d, S), which
+  reads only |S mod d|;
+- ``trace``: the Markov trace of a braid image, generic or at (d, S);
+- ``esystem``: enumerate or verify E-system solutions for a modulus, the one
+  command that builds their values in Q(zeta_d);
 - ``adelic``: per-level invariants along a divisor chain with lifted subsets;
 - ``verify``: seeded property suites (relations, markov, skein, esystem,
   adelic-coherence).
@@ -38,7 +40,6 @@ from typing import Sequence
 
 from .adelic import (
     CoherenceError,
-    DivisibilityError,
     DivisorChain,
     adelic_delta,
     rho,
@@ -60,6 +61,7 @@ from .esystem import (
     ESystemError,
     enumerate_subsets,
     lift_subset,
+    reduce_subset,
     render_subset,
     solution_from_subset,
     verify_solution,
@@ -69,7 +71,6 @@ from .exactnum import (
     Cyclotomic,
     DenominatorFamilyError,
     LaurentU,
-    OrderMismatchError,
     PolyUZ,
     RatFunc,
     TracePolynomial,
@@ -174,9 +175,7 @@ def _parse_subset(text: str, d: int) -> frozenset[int]:
         parts = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"malformed subset {text!r}: expected comma-separated integers") from exc
-    if not parts:
-        raise PreconditionError("subset must be non-empty")
-    return frozenset(p % d for p in parts)
+    return reduce_subset(d, parts)
 
 
 def _parse_complex(text: str) -> complex:
@@ -290,11 +289,10 @@ def _run_records(args, out, err, record, document: "str | None" = None) -> int:
 def _cmd_invariant(args, out, err) -> int:
     d = args.d
     subset = _parse_subset(args.subset, d)
-    sol = solution_from_subset(d, subset)
     point = _numeric_point(args)
 
     def record(braid):
-        value = delta_invariant(d, sol, braid)
+        value = delta_invariant(d, subset, braid)
         fields = {
             "d": d,
             "subset": sorted(subset),
@@ -303,8 +301,8 @@ def _cmd_invariant(args, out, err) -> int:
             "invariant": _json_invariant(value),
         }
         if point is not None:
-            dens = (value.body.den, lambda_param(d, sol).den)
-            fields["approx"] = _approx(point, dens, evaluate_numeric, value, sol)
+            dens = (value.body.den, lambda_param(d, subset).den)
+            fields["approx"] = _approx(point, dens, evaluate_numeric, value, subset)
         return fields, lambda: [
             f"Delta[{render_subset(d, subset)}]({format_braid(braid)}) = {value}", *_approx_lines(point, fields)
         ]
@@ -314,19 +312,17 @@ def _cmd_invariant(args, out, err) -> int:
 
 def _cmd_trace(args, out, err) -> int:
     d = args.d
-    sol = None
-    if args.subset is not None:
-        sol = solution_from_subset(d, _parse_subset(args.subset, d))
+    subset = None if args.subset is None else _parse_subset(args.subset, d)
     point = _numeric_point(args)
-    if point is not None and sol is None:
+    if point is not None and subset is None:
         raise PreconditionError("numeric evaluation of a trace requires --subset")
 
     def record(braid):
-        value = trace_of_braid(d, braid, sol)
-        if sol is None:
+        value = trace_of_braid(d, braid, subset)
+        if subset is None:
             fields = {"d": d, "trace": _json_trace_poly(value)}
         else:
-            fields = {"d": d, "subset": sorted(sol.subset), "trace": _json_ratfunc(value, d)}
+            fields = {"d": d, "subset": sorted(subset), "trace": _json_ratfunc(value, d)}
         if point is not None:
             fields["approx"] = _approx(point, (value.den,), value.eval_complex)
         return fields, lambda: [f"tr_{d}({format_braid(braid)}) = {value}", *_approx_lines(point, fields)]
@@ -444,14 +440,13 @@ def _suite_relations(rng, report) -> bool:
 def _suite_markov(rng, report) -> bool:
     ok = True
     for d, subset in ((1, {0}), (2, {0, 1}), (3, {0, 1})):
-        sol = solution_from_subset(d, subset)
         for trial in range(5):
             b = _random_braid(rng, n_max=3, len_max=5)
             w = BraidWord(b.strands, _random_braid(rng, n_max=2, len_max=4).letters if b.strands >= 2 else ())
             w = BraidWord(b.strands, tuple(k for k in w.letters if abs(k) <= b.strands - 1))
-            base = delta_invariant(d, sol, b)
-            conj = delta_invariant(d, sol, markov_conjugate(b, w))
-            stab = delta_invariant(d, sol, markov_stabilize(b, rng.choice((1, -1))))
+            base = delta_invariant(d, subset, b)
+            conj = delta_invariant(d, subset, markov_conjugate(b, w))
+            stab = delta_invariant(d, subset, markov_stabilize(b, rng.choice((1, -1))))
             ok &= report(
                 f"markov invariance d={d} S={sorted(subset)} trial={trial}",
                 base == conj == stab,
@@ -462,13 +457,12 @@ def _suite_markov(rng, report) -> bool:
 def _suite_skein(rng, report) -> bool:
     ok = True
     for d, subset in ((1, {0}), (2, {0}), (3, {0, 1})):
-        sol = solution_from_subset(d, subset)
         for trial in range(5):
             b = _random_braid(rng, n_max=3, len_max=5)
             i = rng.randrange(len(b.letters))
             ok &= report(
                 f"skein relation d={d} S={sorted(subset)} trial={trial}",
-                skein_check(d, sol, b, i),
+                skein_check(d, subset, b, i),
             )
     return ok
 
@@ -630,9 +624,6 @@ def main(argv: "Sequence[str] | None" = None, out=None, err=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except (PreconditionError, DivisibilityError, OrderMismatchError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_PRECONDITION
     except CoherenceError as exc:
         print(f"internal coherence failure: {exc}", file=err)
         return EXIT_COHERENCE

@@ -9,10 +9,11 @@ Every non-empty subset S of Z/dZ yields a solution by character averages,
 
     x_k = (1/|S|) sum_{s in S} zeta_d^{s k},
 
-and these exhaust the solutions.  Solutions are stored with their subset:
-the trace of the idempotent is then 1/|S|, and liftings along divisors are
-subset-level operations.  Each solution is built and verified once per
-process and shared from a cache bounded at 64 entries.
+and these exhaust the solutions.  A solution is named by its subset: the
+trace of the idempotent is 1/|S|, liftings along divisors are subset-level
+operations, and the invariants read only |S| (``reduce_subset``).  The values
+x_k are built and verified only for the ``esystem`` command, its verify suite
+and the test oracle, once per process, and shared from a cache of 64 entries.
 """
 
 from __future__ import annotations
@@ -79,6 +80,18 @@ class ESolution:
         return render_subset(self.d, self.subset)
 
 
+def reduce_subset(d: int, subset: Iterable[int]) -> frozenset[int]:
+    """The parametrizing subset S mod d, checked non-empty.
+
+    >>> sorted(reduce_subset(4, [5, 0, 4]))
+    [0, 1]
+    """
+    s = frozenset(x % d for x in subset)
+    if not s:
+        raise ValueError("subset must be non-empty")
+    return s
+
+
 def solution_from_subset(d: int, subset: Iterable[int]) -> ESolution:
     """The solution with x_k = (1/|S|) sum_{s in S} zeta_d^{sk}.
 
@@ -92,10 +105,7 @@ def solution_from_subset(d: int, subset: Iterable[int]) -> ESolution:
     >>> solution_from_subset(4, [5, 0]) is solution_from_subset(4, {0, 1})
     True
     """
-    s = frozenset(x % d for x in subset)
-    if not s:
-        raise ValueError("the parametrizing subset must be non-empty")
-    return _solution(d, s)
+    return _solution(d, reduce_subset(d, subset))
 
 
 @lru_cache(maxsize=64)
@@ -127,11 +137,8 @@ def lift_subset(d: int, d_prime: int, subset: Iterable[int]) -> frozenset[int]:
     """
     if d_prime % d != 0:
         raise ValueError(f"{d} does not divide {d_prime}; cannot lift")
-    s = frozenset(x % d for x in subset)
-    if not s:
-        raise ValueError("the parametrizing subset must be non-empty")
     return frozenset(
-        (a + b) % d_prime for a in s for b in range(0, d_prime, d)
+        (a + b) % d_prime for a in reduce_subset(d, subset) for b in range(0, d_prime, d)
     )
 
 

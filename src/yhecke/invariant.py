@@ -1,6 +1,7 @@
 """The 2-variable link invariant built from the Markov trace.
 
-For an E-system solution with zeta = 1/|S|, the rescaling factor
+At the E-system solution of a subset S of Z/dZ, with zeta = 1/|S mod d|, the
+rescaling factor
 
     lambda = (z - (1-u) zeta) / (u z)
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braid import BraidWord, exponent_sum
-from .esystem import ESolution, solution_from_subset, zeta_value
+from .esystem import reduce_subset
 from .exactnum import PolyUZ, RatFunc
 from .trace import trace_of_braid
 
@@ -53,10 +54,9 @@ class InvariantValue:
         return f"sqrtLambda^{self.half} * (({self.body.num}) / ({self.body.den}))"
 
 
-def lambda_param(d: int, sol: ESolution) -> RatFunc:
-    """The rescaling factor (z - (1-u) zeta) / (u z) with zeta = 1/|S|; it
-    depends on d and the solution only through zeta."""
-    return _lambda(zeta_value(sol))
+def lambda_param(d: int, subset) -> RatFunc:
+    """The rescaling factor (z - (1-u) zeta) / (u z) with zeta = 1/|S mod d|."""
+    return _lambda(Fraction(1, len(reduce_subset(d, subset))))
 
 
 @lru_cache(maxsize=64)
@@ -108,21 +108,21 @@ def value_sub(a: InvariantValue, b: InvariantValue) -> InvariantValue:
     return value_add(a, value_scale(b, RatFunc.from_scalar(-1)))
 
 
-def delta_invariant(d: int, sol: ESolution, b: BraidWord) -> InvariantValue:
-    """The invariant of the closure of a braid word.
+def delta_invariant(d: int, subset, b: BraidWord) -> InvariantValue:
+    """The invariant at (d, S) of the closure of a braid word; it depends
+    on S only through |S mod d|.
 
     >>> from .braid import parse_braid
-    >>> sol = solution_from_subset(1, {0})
-    >>> delta_invariant(1, sol, parse_braid("1:")).half
+    >>> delta_invariant(1, {0}, parse_braid("1:")).half
     0
     """
-    traced = trace_of_braid(d, b, sol)
+    traced = trace_of_braid(d, b, subset)
     n = b.strands
     den = traced.den * PolyUZ.monomial(0, n - 1)
-    return _make_value(d, exponent_sum(b) - (n - 1), traced.num, den, lambda_param(d, sol))
+    return _make_value(d, exponent_sum(b) - (n - 1), traced.num, den, lambda_param(d, subset))
 
 
-def skein_check(d: int, sol: ESolution, b: BraidWord, i: int) -> bool:
+def skein_check(d: int, subset, b: BraidWord, i: int) -> bool:
     """Verify the cubic skein relation at the i-th letter of b (0-based):
 
         sqrt(lambda) D(L-) = (1/(lambda u)) D(L++) + (1/sqrt(lambda)) D(L+)
@@ -141,12 +141,12 @@ def skein_check(d: int, sol: ESolution, b: BraidWord, i: int) -> bool:
             middle = (-gen,) * (-exponent)
         return BraidWord(b.strands, b.letters[:i] + middle + b.letters[i + 1 :])
 
-    lam = lambda_param(d, sol)
+    lam = lambda_param(d, subset)
     u = RatFunc.u_var()
-    v_pp = delta_invariant(d, sol, variant(2))
-    v_p = delta_invariant(d, sol, variant(1))
-    v_0 = delta_invariant(d, sol, variant(0))
-    v_m = delta_invariant(d, sol, variant(-1))
+    v_pp = delta_invariant(d, subset, variant(2))
+    v_p = delta_invariant(d, subset, variant(1))
+    v_0 = delta_invariant(d, subset, variant(0))
+    v_m = delta_invariant(d, subset, variant(-1))
     lhs = value_scale_half(v_m, 1, lam)
     rhs = value_add(
         value_scale(v_pp, 1 / (lam * u)),
@@ -162,15 +162,15 @@ def homflypt_specialize(b: BraidWord) -> InvariantValue:
     """The d = 1 specialization: the idempotent collapses to 1, the quadratic
     relation becomes g^2 = u - (u-1)g, and the invariant is the 2-variable
     (HOMFLYPT) polynomial of the closure in the (u, z) normalization."""
-    return delta_invariant(1, solution_from_subset(1, {0}), b)
+    return delta_invariant(1, {0}, b)
 
 
-def mirror_value(d: int, sol: ESolution, v: InvariantValue) -> InvariantValue:
+def mirror_value(d: int, subset, v: InvariantValue) -> InvariantValue:
     """The involution matching crossing-sign reversal: u -> 1/u, z -> lambda z
     (which sends lambda to 1/lambda and sqrt(lambda)^h to sqrt(lambda)^h
     lambda^-h).  The mirror image of a closed braid has this transformed
     invariant."""
-    lam = lambda_param(d, sol)
+    lam = lambda_param(d, subset)
     u_new = 1 / RatFunc.u_var()
     z_new = lam * RatFunc.z_var()
     body = v.body.substitute(u_new, z_new)
@@ -178,11 +178,11 @@ def mirror_value(d: int, sol: ESolution, v: InvariantValue) -> InvariantValue:
     return _make_value(d, -v.half, body.num, body.den, lam)
 
 
-def evaluate_numeric(v: InvariantValue, sol: ESolution, u: complex, z: complex) -> complex:
+def evaluate_numeric(v: InvariantValue, subset, u: complex, z: complex) -> complex:
     """Approximate complex value at a numeric point, taking the principal
     square root for the formal sqrt(lambda).  Display only: equality
     decisions are always exact."""
-    lam = lambda_param(v.order, sol).eval_complex(u, z)
+    lam = lambda_param(v.order, subset).eval_complex(u, z)
     out = v.body.eval_complex(u, z)
     if v.half:
         out *= cmath.sqrt(lam)

@@ -25,8 +25,8 @@ strands, with integer Laurent coefficients and rules that do not depend on d
 cached per (d, A, w) and summed from word traces.  ``markov_trace`` of
 ``yokonuma.represent_braid`` stays the element API and the reference oracle.
 
-Under an E-system solution (d, S) a braid's trace depends only on k = |S|, so
-``trace_of_braid`` reads it over Q as the x-free part of the trace in Y_{k,n}.
+At an E-system solution (d, S) a braid's trace depends only on k = |S mod d|, so
+``trace_of_braid`` takes S and reads the trace over Q as the x-free part in Y_{k,n}.
 
 Uniqueness of the trace is certified by the property suite (cyclicity and
 the two multiplicative rules on random elements) rather than assumed.
@@ -40,7 +40,8 @@ from itertools import product
 from .braid import BraidWord
 # trace_poly_substitute and represent_braid stay bound here, where
 # bench/tracing.py wraps them by name; no braid trace calls them.
-from .exactnum import LaurentU, OrderMismatchError, PolyUZ, RatFunc, TracePolynomial, trace_poly_substitute
+from .esystem import reduce_subset
+from .exactnum import LaurentU, PolyUZ, RatFunc, TracePolynomial, trace_poly_substitute
 from .yokonuma import (
     AlgebraElement,
     BasisWord,
@@ -213,17 +214,16 @@ def _tie_expansion(d: int, b: BraidWord) -> dict:
     return terms
 
 
-def trace_of_braid(d: int, b: BraidWord, sol=None) -> "TracePolynomial | RatFunc":
-    """Trace of the image of a braid in Y_{d,n}; given an E-system solution of
-    order d, its value there over Q: the x-free part of the trace in Y_{|S|,n},
-    which is its value at the full subset of Z/|S|Z (x_m = 0 for m != 0).
-    The braid is traced through ``_tie_expansion`` and the cached tr(E_A g_w).
-    The oracle: ``trace_poly_substitute(markov_trace(represent_braid(d, b)), sol)``."""
-    if sol is not None and sol.d != d:
-        raise OrderMismatchError(f"trace polynomial order {d} does not match solution order {sol.d}")
-    k = d if sol is None else len(sol.subset)
+def trace_of_braid(d: int, b: BraidWord, subset=None) -> "TracePolynomial | RatFunc":
+    """Trace of the image of a braid in Y_{d,n}; given a subset S of Z/dZ, its
+    value over Q at the E-system solution S: the x-free part of the trace in
+    Y_{k,n}, k = |S mod d|, which is its value at the full subset of Z/kZ
+    (x_m = 0 for m != 0).  The braid is traced through ``_tie_expansion`` and
+    the cached tr(E_A g_w).  The oracle substitutes the solution of S into
+    ``markov_trace(represent_braid(d, b))`` with ``trace_poly_substitute``."""
+    k = d if subset is None else len(reduce_subset(d, subset))
     p = _trace_polynomial(k, *_trace_terms(_tie_expansion(k, b), partial(_tie_trace, k)))
-    if sol is None:
+    if subset is None:
         return p
     low = min([0] + [c.min_exponent() for _, c in p.terms])
     num = PolyUZ.from_dict({(e - low, ze): q for (ze, xe), c in p.terms if not any(xe) for e, q in c.terms})

@@ -204,7 +204,7 @@ def test_closed_stdout_exits_1_silently(unbuffered):
 
 
 def test_exit_code_denominator_outside_family_is_internal(monkeypatch):
-    def out_of_family(d, sol, braid):
+    def out_of_family(d, subset, braid):
         RatFunc.make(PolyUZ.one(), PolyUZ.monomial(1, 1) + PolyUZ.one())
 
     monkeypatch.setattr(yhecke.cli, "delta_invariant", out_of_family)
@@ -271,34 +271,62 @@ def test_braid_too_deep_to_trace_is_a_precondition_violation():
 
 
 def test_failed_esystem_check_on_computed_solution_is_internal(monkeypatch):
-    yhecke.esystem._solution.cache_clear()  # a cached (2, {0}) would skip the check
+    """Only the commands that build solutions reach the E-system check."""
+    yhecke.esystem._solution.cache_clear()  # a cached solution would skip the check
     monkeypatch.setattr(yhecke.esystem, "verify_solution", lambda d, values: False)
     for argv in (
-        ("invariant", "--d", "2", "--subset", "0", "--braid", "1"),
         ("esystem", "--d", "2", "--subset", "0"),
-        ("adelic", "--chain", "2,4", "--subset", "0", "--braid", "1"),
+        ("verify", "--suite", "esystem"),
     ):
         code, out, err = run_cli(*argv)
         assert code == EXIT_COHERENCE and out == ""
         assert err.startswith("internal failure: ") and "E-system" in err
 
 
-def test_adelic_corpus_builds_each_solution_once(monkeypatch, tmp_path):
+def test_invariant_trace_and_adelic_build_no_solution(monkeypatch, tmp_path):
+    """The invariants read only |S|: with every solution build failing,
+    ``invariant``, ``trace --subset`` and an ``adelic`` corpus print the same bytes."""
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a;2: 1 1 1\nb;3: 1 -2 1 2\nc;2: 1 -1 1\n", encoding="utf-8")
-    argv = ("adelic", "--chain", "2,4,8", "--subset", "0", "--corpus", str(corpus), "--format", "json")
-    with monkeypatch.context() as m:
-        m.setattr(yhecke.esystem, "_solution", yhecke.esystem._solution.__wrapped__)
-        uncached = run_cli(*argv)
-    calls = []
-    real = yhecke.esystem.verify_solution
-    monkeypatch.setattr(
-        yhecke.esystem, "verify_solution", lambda d, values: calls.append(d) or real(d, values)
-    )
-    yhecke.esystem._solution.cache_clear()
-    assert run_cli(*argv) == uncached and uncached[0] == EXIT_OK
-    # the caller solutions (2,{0}), (4,{0,2}), (8,{0,2,4,6}), and no other
-    assert sorted(calls) == [2, 4, 8]
+    cases = [
+        ("invariant", "--d", "200", "--subset", "0,7", "--braid", "1 -2 1 2", "--eval-u", "2", "--eval-z", "3"),
+        ("trace", "--d", "6", "--subset", "0,2,4", "--braid", "1 -2 1 2", "--format", "json"),
+        ("adelic", "--chain", "2,4,8", "--subset", "0", "--corpus", str(corpus), "--format", "json"),
+        ("adelic", "--chain", "3,6", "--subset", "1,2", "--corpus", str(corpus)),
+    ]
+    expected = [run_cli(*argv) for argv in cases]
+
+    def forbidden(d, s):
+        raise AssertionError("an E-system solution was built")
+
+    monkeypatch.setattr(yhecke.esystem, "_solution", forbidden)
+    for argv, before in zip(cases, expected):
+        assert run_cli(*argv) == before and before[0] == EXIT_OK, argv
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("trace", "--d", "3", "--subset", ",", "--braid", "1"), "subset must be non-empty"),
+        (("adelic", "--chain", "2,3", "--subset", "0", "--braid", "1"),
+         "chain entries must strictly increase by divisibility; got 2 before 3"),
+        (("invariant", "--d", "0", "--subset", "0", "--braid", "1"), "modulus d must be positive, got 0"),
+    ],
+    ids=["empty-subset", "non-dividing-chain", "zero-modulus"],
+)
+def test_precondition_violations_exit_2_with_one_error_line(argv, message):
+    assert run_cli(*argv) == (EXIT_PRECONDITION, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("d,subset,k", [(200, "0,7", 2), (12, "0,5,7", 3)])
+def test_invariant_text_depends_only_on_subset_size(d, subset, k):
+    """Delta at (d, S) is Delta at (|S|, Z/|S|Z): the text after the label agrees."""
+    bodies = []
+    for argv in (("--d", str(d), "--subset", subset), ("--d", str(k), "--subset", ",".join(map(str, range(k))))):
+        code, out, _ = run_cli("invariant", *argv, "--braid", "1 1 1")
+        assert code == EXIT_OK
+        bodies.append(out.split(" = ", 1)[1])
+    assert bodies[0] == bodies[1]
 
 
 def test_argparse_usage_error_goes_to_given_err(capsys):
