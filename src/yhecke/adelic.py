@@ -54,7 +54,15 @@ class DivisorChain:
 
     @staticmethod
     def parse(text: str) -> DivisorChain:
-        """Parse the CLI syntax '2,4,8'."""
+        """Parse the CLI syntax '2,4,8'.
+
+        >>> DivisorChain.parse("2,4,8").entries
+        (2, 4, 8)
+        >>> DivisorChain.parse("2,3")
+        Traceback (most recent call last):
+        ...
+        ValueError: chain entries must strictly increase by divisibility; got 2 before 3
+        """
         try:
             entries = tuple(int(tok) for tok in text.split(","))
         except ValueError as exc:
@@ -71,14 +79,32 @@ def _check_divides(d: int, d_prime: int):
 
 
 def theta(d: int, d_prime: int, m: int) -> int:
-    """Residue reduction Z/d'Z -> Z/dZ along d | d'."""
+    """Residue reduction Z/d'Z -> Z/dZ along d | d'.
+
+    >>> theta(4, 12, 7)
+    3
+    >>> theta(4, 6, 1)
+    Traceback (most recent call last):
+    ...
+    yhecke.adelic.DivisibilityError: 4 does not divide 6
+    """
     _check_divides(d, d_prime)
     return m % d
 
 
 def rho(d: int, d_prime: int, a: AlgebraElement) -> AlgebraElement:
     """The connecting ring map Y_{d',n} -> Y_{d,n}: framings reduce mod d,
-    permutation parts and coefficients are untouched, like terms collect."""
+    permutation parts and coefficients are untouched, like terms collect.
+
+    t_1^3 g_1 in Y_{4,2} reduces to t_1 g_1 in Y_{2,2}, and the two framings
+    of t_1^2 + t_2^2 both reduce to 0:
+
+    >>> from yhecke.yokonuma import framing_generator, generator
+    >>> str(rho(2, 4, framing_generator(4, 2, 1, 3) * generator(4, 2, 1)))
+    't1*g1'
+    >>> str(rho(2, 4, framing_generator(4, 2, 1, 2) + framing_generator(4, 2, 2, 2)))
+    '2'
+    """
     _check_divides(d, d_prime)
     if a.d != d_prime:
         raise ValueError(f"element lives in Y_({a.d},{a.n}), expected modulus {d_prime}")
@@ -110,6 +136,23 @@ def xi(d: int, d_prime: int, p: TracePolynomial) -> TracePolynomial:
     return TracePolynomial.from_dict(d, acc)
 
 
+def _check_coherent(chain: DivisorChain, parts: tuple, kind: str, mismatch, connect):
+    """Check one part per chain entry, each at its entry's modulus
+    (``mismatch(d, part)`` is the complaint about a part that is not, or
+    empty), and the connecting map ``connect`` between neighbouring parts."""
+    entries = chain.entries
+    if len(parts) != len(entries):
+        raise ValueError(f"one {kind} is required per chain entry")
+    for d, part in zip(entries, parts):
+        if complaint := mismatch(d, part):
+            raise ValueError(complaint)
+    for j in range(len(entries) - 1):
+        if connect(entries[j], entries[j + 1], parts[j + 1]) != parts[j]:
+            raise CoherenceError(
+                f"parts at moduli {entries[j]} | {entries[j + 1]} are not {connect.__name__}-coherent"
+            )
+
+
 @dataclass(frozen=True)
 class CoherentElement:
     """A tuple of algebra elements along a chain, coherent under rho."""
@@ -118,20 +161,13 @@ class CoherentElement:
     parts: tuple[AlgebraElement, ...]
 
     def __post_init__(self):
-        entries = self.chain.entries
-        if len(self.parts) != len(entries):
-            raise ValueError("one algebra element is required per chain entry")
-        n = self.parts[0].n
-        for d, part in zip(entries, self.parts):
+        def mismatch(d: int, part: AlgebraElement) -> str:
+            n = self.parts[0].n
             if part.d != d or part.n != n:
-                raise ValueError(
-                    f"part in Y_({part.d},{part.n}) does not match chain entry {d} on {n} strands"
-                )
-        for j in range(len(entries) - 1):
-            if rho(entries[j], entries[j + 1], self.parts[j + 1]) != self.parts[j]:
-                raise CoherenceError(
-                    f"parts at moduli {entries[j]} | {entries[j + 1]} are not rho-coherent"
-                )
+                return f"part in Y_({part.d},{part.n}) does not match chain entry {d} on {n} strands"
+            return ""
+
+        _check_coherent(self.chain, self.parts, "algebra element", mismatch, rho)
 
 
 @dataclass(frozen=True)
@@ -142,19 +178,12 @@ class CoherentTrace:
     parts: tuple[TracePolynomial, ...]
 
     def __post_init__(self):
-        entries = self.chain.entries
-        if len(self.parts) != len(entries):
-            raise ValueError("one trace polynomial is required per chain entry")
-        for d, part in zip(entries, self.parts):
+        def mismatch(d: int, part: TracePolynomial) -> str:
             if part.order != d:
-                raise ValueError(
-                    f"trace polynomial of order {part.order} does not match chain entry {d}"
-                )
-        for j in range(len(entries) - 1):
-            if xi(entries[j], entries[j + 1], self.parts[j + 1]) != self.parts[j]:
-                raise CoherenceError(
-                    f"parts at moduli {entries[j]} | {entries[j + 1]} are not xi-coherent"
-                )
+                return f"trace polynomial of order {part.order} does not match chain entry {d}"
+            return ""
+
+        _check_coherent(self.chain, self.parts, "trace polynomial", mismatch, xi)
 
 
 def coherent_represent(chain: DivisorChain, b: BraidWord) -> CoherentElement:

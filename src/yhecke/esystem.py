@@ -13,14 +13,13 @@ and these exhaust the solutions.  A solution is named by its subset: the
 trace of the idempotent is 1/|S|, liftings along divisors are subset-level
 operations, and the invariants read only |S| (``reduce_subset``).  The values
 x_k are built and verified only for the ``esystem`` command, its verify suite
-and the test oracle, once per process, and shared from a cache of 64 entries.
+and the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -97,19 +96,12 @@ def solution_from_subset(d: int, subset: Iterable[int]) -> ESolution:
 
     Each x_k is one character sum: the counts of s k mod d over s in S,
     as a polynomial in zeta_d over |S|, reduced once mod Phi_d.  The subset
-    is reduced mod d first, and the solution for (d, S mod d) is built and
-    verified once per process, then shared from a cache of 64 entries.
+    is reduced mod d first, and the solution is verified on construction.
 
     >>> solution_from_subset(2, {0, 1}).values[1].is_zero()
     True
-    >>> solution_from_subset(4, [5, 0]) is solution_from_subset(4, {0, 1})
-    True
     """
-    return _solution(d, reduce_subset(d, subset))
-
-
-@lru_cache(maxsize=64)
-def _solution(d: int, s: frozenset[int]) -> ESolution:
+    s = reduce_subset(d, subset)
     values = []
     for k in range(d):
         counts = [0] * d

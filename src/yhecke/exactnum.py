@@ -18,6 +18,15 @@ Everything here is exact and immutable:
   the shape every value of the invariant has, so reduction needs only the
   monomial content and synthetic division by l.
 
+Every type derives its operators from one protocol, ``ExactArithmetic``.  A
+type supplies ``_coerce`` (its own instance for an operand of its ring, or
+None), ``__add__``, ``__neg__``, ``__mul__`` and ``_unit``, and ``_inverse``
+when it allows negative powers (``RatFunc``; ``LaurentU`` for monomials).
+The protocol derives ``-`` and its reflection, the reflected ``+`` and
+``*``, and ``**`` by square-and-multiply; ``yokonuma.AlgebraElement`` uses it
+too.  ``Cyclotomic``, ``LaurentU`` and ``PolyUZ`` print their sums through one
+term renderer, each with its own monomial names and term order.
+
 Cyclotomic numbers appear only in the E-system values and in their
 substitution into a trace polynomial (``substitute_x_values``), which is the
 test oracle: ``trace.trace_of_braid`` reads a braid's value at a solution over Q
@@ -91,6 +100,90 @@ def euler_phi(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The arithmetic protocol and the rendering of scalar-coefficient sums.
+# ---------------------------------------------------------------------------
+
+class ExactArithmetic:
+    """Operators derived from a type's own ``_coerce``, ``__add__``,
+    ``__neg__``, ``__mul__``, ``_unit`` and ``_inverse``.
+
+    ``_coerce(other)`` returns ``other`` as an element of the type's ring,
+    or None when it is not one, which makes the operators return
+    ``NotImplemented``.  Addition and multiplication are taken to be
+    commutative; a type that is not overrides ``__rmul__``.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, k: int):
+        """self^k by square-and-multiply: no product for k = 1, one for
+        k = 2.  A negative power is a power of ``_inverse()``."""
+        if k < 0:
+            return self._inverse() ** -k
+        acc, base = None, self
+        while k:
+            if k & 1:
+                acc = base if acc is None else acc * base
+            k >>= 1
+            if k:
+                base = base * base
+        return self._unit() if acc is None else acc
+
+    def _inverse(self):
+        raise ValueError(f"negative powers of a {type(self).__name__} are not defined")
+
+
+def _monomial(*factors: tuple[str, int]) -> str:
+    """The product of the (symbol, exponent) factors as printed: sym^e,
+    sym for e = 1, nothing for e = 0, and '' when every e is 0."""
+    return "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in factors if e)
+
+
+def _render_terms(terms) -> str:
+    """A sum of (monomial, coefficient) pairs in the given order, zero
+    coefficients skipped: the constant term (monomial '') prints as |c|, a
+    term with |c| = 1 as the bare monomial, any other as |c|*mono."""
+    parts = []
+    for mono, c in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = mono if mag == 1 else f"{mag}*{mono}"
+        parts.append((c < 0, body if mono else str(mag)))
+    return _join_signed(parts)
+
+
+def _join_signed(parts: list[tuple[bool, str]]) -> str:
+    if not parts:
+        return "0"
+    out = []
+    for k, (neg, body) in enumerate(parts):
+        if k == 0:
+            out.append(f"-{body}" if neg else body)
+        else:
+            out.append(f" - {body}" if neg else f" + {body}")
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
 # Cyclotomic numbers.
 # ---------------------------------------------------------------------------
 
@@ -103,7 +196,7 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Cyclotomic:
+class Cyclotomic(ExactArithmetic):
     """A number (1/den) * sum num[i] zeta_d^i in Q(zeta_d), in the power
     basis reduced mod the d-th cyclotomic polynomial.  ``num`` always has
     exactly phi(d) integer entries, and den > 0 is coprime to them (zero is
@@ -192,22 +285,8 @@ class Cyclotomic:
         fa, fb = den // self.den, den // o.den
         return Cyclotomic(self.order, tuple(a * fa + b * fb for a, b in zip(self.num, o.num)), den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Cyclotomic(self.order, tuple(-a for a in self.num), self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -220,48 +299,14 @@ class Cyclotomic:
                     conv[i + j] += a * b
         return Cyclotomic.from_powers(self.order, conv, self.den * o.den)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> Cyclotomic:
-        if k < 0:
-            raise ValueError(f"negative power {k} of a cyclotomic number")
-        base = self
-        acc = Cyclotomic.one(self.order)
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+    def _unit(self) -> Cyclotomic:
+        return Cyclotomic.one(self.order)
 
     # -- output --------------------------------------------------------------
 
     def __str__(self) -> str:
         sym = f"zeta{self.order}"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append((c < 0, str(abs(c))))
-            else:
-                mono = sym if i == 1 else f"{sym}^{i}"
-                mag = abs(c)
-                body = mono if mag == 1 else f"{mag}*{mono}"
-                parts.append((c < 0, body))
-        return _join_signed(parts)
-
-
-def _join_signed(parts: list[tuple[bool, str]]) -> str:
-    if not parts:
-        return "0"
-    out = []
-    for k, (neg, body) in enumerate(parts):
-        if k == 0:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f" - {body}" if neg else f" + {body}")
-    return "".join(out)
+        return _render_terms((_monomial((sym, i)), c) for i, c in enumerate(self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +314,7 @@ def _join_signed(parts: list[tuple[bool, str]]) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LaurentU:
+class LaurentU(ExactArithmetic):
     """Sparse Laurent polynomial in u with Fraction coefficients.
 
     ``terms`` is sorted by exponent and stores no zero coefficients, so the
@@ -330,22 +375,8 @@ class LaurentU:
             acc[e] = acc.get(e, Fraction(0)) + c
         return LaurentU.from_dict(acc)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentU(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -358,34 +389,27 @@ class LaurentU:
                 acc[e] = acc.get(e, Fraction(0)) + c1 * c2
         return LaurentU.from_dict(acc)
 
-    __rmul__ = __mul__
+    def _unit(self) -> LaurentU:
+        return LaurentU.from_scalar(1)
 
-    def __pow__(self, k: int) -> LaurentU:
-        if k < 0:
-            if len(self.terms) != 1:
-                raise ValueError("only monomials can be raised to negative powers")
-            e, c = self.terms[0]
-            return LaurentU.from_dict({e * k: c**k})
-        acc = LaurentU.from_scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+    def _inverse(self) -> LaurentU:
+        if len(self.terms) != 1:
+            raise ValueError("only monomials can be raised to negative powers")
+        e, c = self.terms[0]
+        return LaurentU(((-e, 1 / c),))
 
     def __str__(self) -> str:
-        parts = []
-        for e, c in sorted(self.terms, reverse=True):
-            if e == 0:
-                parts.append((c < 0, str(abs(c))))
-            else:
-                mono = "u" if e == 1 else f"u^{e}"
-                mag = abs(c)
-                body = mono if mag == 1 else f"{mag}*{mono}"
-                parts.append((c < 0, body))
-        return _join_signed(parts)
+        return _render_terms((_monomial(("u", e)), c) for e, c in reversed(self.terms))
+
+    def str_times(self, mono: str) -> str:
+        """This coefficient in front of a printed monomial: mono alone for
+        1, and in parentheses unless it is one positive term."""
+        cs = str(self)
+        if mono and cs == "1":
+            return mono
+        if len(self.terms) != 1 or cs.startswith("-"):
+            cs = f"({cs})"
+        return f"{cs}*{mono}" if mono else cs
 
 
 def laurent_u_minus_one() -> LaurentU:
@@ -407,7 +431,7 @@ _TMono = tuple  # (z_exponent, _XMono)
 
 
 @dataclass(frozen=True)
-class TracePolynomial:
+class TracePolynomial(ExactArithmetic):
     """Element of the trace codomain: polynomial in z and x_1..x_{d-1} with
     Laurent-in-u coefficients.  x_0 is the constant 1 and never stored.
     """
@@ -461,47 +485,43 @@ class TracePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check_order(self, other: TracePolynomial):
+    def _coerce(self, other) -> "TracePolynomial | None":
+        if not isinstance(other, TracePolynomial):
+            return None
         if self.order != other.order:
             raise OrderMismatchError(
                 f"trace polynomial orders differ: {self.order} vs {other.order}"
             )
+        return other
 
     def __add__(self, other):
-        if not isinstance(other, TracePolynomial):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        self._check_order(other)
         acc = dict(self.terms)
-        for mono, c in other.terms:
+        for mono, c in o.terms:
             acc[mono] = acc.get(mono, LaurentU.zero()) + c
         return TracePolynomial.from_dict(self.order, acc)
 
     def __neg__(self):
         return TracePolynomial(self.order, tuple((m, -c) for m, c in self.terms))
 
-    def __sub__(self, other):
-        if not isinstance(other, TracePolynomial):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentU)):
             return self.scale(other)
-        if not isinstance(other, TracePolynomial):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        self._check_order(other)
         acc: dict[_TMono, LaurentU] = {}
         for (z1, x1), c1 in self.terms:
-            for (z2, x2), c2 in other.terms:
+            for (z2, x2), c2 in o.terms:
                 mono = (z1 + z2, tuple(a + b for a, b in zip(x1, x2)))
                 prod = c1 * c2
                 acc[mono] = acc.get(mono, LaurentU.zero()) + prod
         return TracePolynomial.from_dict(self.order, acc)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentU)):
-            return self.scale(other)
-        return NotImplemented
+    def _unit(self) -> TracePolynomial:
+        return TracePolynomial.one(self.order)
 
     def scale(self, c: Scalar | LaurentU) -> TracePolynomial:
         lu = c if isinstance(c, LaurentU) else LaurentU.from_scalar(c)
@@ -521,25 +541,11 @@ class TracePolynomial:
 
         parts = []
         for (ze, xe), c in sorted(self.terms, key=sort_key, reverse=True):
-            factors = []
-            if ze:
-                factors.append("z" if ze == 1 else f"z^{ze}")
-            for i, e in enumerate(xe):
-                if e:
-                    factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-            mono = "*".join(factors)
-            cs = str(c)
-            if not mono:
-                body = cs if len(c.terms) == 1 and not cs.startswith("-") else f"({cs})"
-                parts.append((False, body))
-            elif cs == "1":
-                parts.append((False, mono))
-            elif cs == "-1":
+            mono = _monomial(("z", ze), *((f"x{i + 1}", e) for i, e in enumerate(xe)))
+            if mono and c.terms == ((0, -1),):
                 parts.append((True, mono))
-            elif len(c.terms) == 1 and not cs.startswith("-"):
-                parts.append((False, f"{cs}*{mono}"))
             else:
-                parts.append((False, f"({cs})*{mono}"))
+                parts.append((False, c.str_times(mono)))
         return _join_signed(parts)
 
 
@@ -551,7 +557,7 @@ _UZMono = tuple  # (u_exponent, z_exponent)
 
 
 @dataclass(frozen=True)
-class PolyUZ:
+class PolyUZ(ExactArithmetic):
     """Polynomial in u and z with Fraction coefficients: sparse, sorted by
     monomial and without zero coefficients, so equality is structural."""
 
@@ -587,6 +593,9 @@ class PolyUZ:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _coerce(self, other) -> "PolyUZ | None":
+        return other if isinstance(other, PolyUZ) else None
+
     def __add__(self, other):
         if not isinstance(other, PolyUZ):
             return NotImplemented
@@ -598,11 +607,6 @@ class PolyUZ:
     def __neg__(self):
         return PolyUZ(tuple((m, -c) for m, c in self.terms))
 
-    def __sub__(self, other):
-        if not isinstance(other, PolyUZ):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, PolyUZ):
             return NotImplemented
@@ -613,13 +617,8 @@ class PolyUZ:
                 acc[m] = acc.get(m, 0) + c1 * c2
         return PolyUZ.from_dict(acc)
 
-    def __pow__(self, k: int) -> PolyUZ:
-        if k < 0:
-            raise ValueError(f"negative power {k} of a polynomial")
-        acc = PolyUZ.one()
-        for _ in range(k):
-            acc = acc * self
-        return acc
+    def _unit(self) -> PolyUZ:
+        return PolyUZ.one()
 
     def scale(self, c: Scalar) -> PolyUZ:
         if not c:
@@ -646,30 +645,12 @@ class PolyUZ:
         return out
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-
         def sort_key(item):
             (ue, ze), _ = item
             return (ue + ze, ze, ue)
 
-        parts = []
-        for (ue, ze), q in sorted(self.terms, key=sort_key, reverse=True):
-            factors = []
-            if ze:
-                factors.append("z" if ze == 1 else f"z^{ze}")
-            if ue:
-                factors.append("u" if ue == 1 else f"u^{ue}")
-            mono = "*".join(factors)
-            if not mono:
-                parts.append((q < 0, str(abs(q))))
-            elif q == 1:
-                parts.append((False, mono))
-            elif q == -1:
-                parts.append((True, mono))
-            else:
-                parts.append((q < 0, f"{abs(q)}*{mono}"))
-        return _join_signed(parts)
+        terms = sorted(self.terms, key=sort_key, reverse=True)
+        return _render_terms((_monomial(("z", ze), ("u", ue)), q) for (ue, ze), q in terms)
 
 
 # -- reduction over the denominator family ----------------------------------
@@ -782,7 +763,7 @@ def poly_gcd(p: PolyUZ, q: PolyUZ) -> tuple[PolyUZ, PolyUZ, PolyUZ]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RatFunc:
+class RatFunc(ExactArithmetic):
     """Quotient of two PolyUZ in canonical form: numerator and denominator
     coprime, denominator's leading coefficient equal to 1, and zero stored
     as 0/1.  Structural equality therefore coincides with equality of
@@ -843,30 +824,14 @@ class RatFunc:
             return RatFunc.make(self.num + o.num, self.den)
         return RatFunc.make(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return RatFunc.make(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -882,17 +847,11 @@ class RatFunc:
             return NotImplemented
         return o / self
 
-    def __pow__(self, k: int) -> RatFunc:
-        if k < 0:
-            return (1 / self) ** (-k)
-        acc = RatFunc.from_scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+    def _unit(self) -> RatFunc:
+        return RatFunc.from_scalar(1)
+
+    def _inverse(self) -> RatFunc:
+        return 1 / self
 
     def equal_cross(self, other: RatFunc) -> bool:
         """Equality by cross-multiplication, independent of canonical form."""

@@ -53,6 +53,7 @@ from typing import Mapping
 
 from .braid import BraidWord
 from .exactnum import (
+    ExactArithmetic,
     LaurentU,
     Scalar,
     laurent_u_minus_one,
@@ -191,7 +192,7 @@ def _int_form(lus: Mapping) -> tuple[dict, int]:
     return {k: {e: c.numerator * (den // c.denominator) for e, c in lu.terms} for k, lu in lus.items()}, den
 
 
-class AlgebraElement:
+class AlgebraElement(ExactArithmetic):
     """A finite linear combination of basis words over Q[u, u^-1], stored in
     the integer kernel's form (1/den) * sum c u^e w over ``int_terms``
     {word: {u-exponent: int}}.  The form is canonical, so equality is
@@ -250,16 +251,24 @@ class AlgebraElement:
                 f"algebra mismatch: Y_({self.d},{self.n}) vs Y_({other.d},{other.n})"
             )
 
+    def _coerce(self, other) -> "AlgebraElement | None":
+        if not isinstance(other, AlgebraElement):
+            return None
+        self._check_compatible(other)
+        return other
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return (self.d, self.n, self.den, self.int_terms) == (other.d, other.n, other.den, other.int_terms)
 
-    def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        self._check_compatible(other)
-        den = math.lcm(self.den, other.den)
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        den = math.lcm(self.den, o.den)
         acc: _Scaled = {}
-        for a in (self, other):
+        for a in (self, o):
             for w, poly in a.int_terms.items():
                 _add_product(acc.setdefault(w, {}), poly, {0: den // a.den})
         return AlgebraElement.from_ints(self.d, self.n, acc, den)
@@ -267,9 +276,6 @@ class AlgebraElement:
     def __neg__(self) -> AlgebraElement:
         neg = {w: {e: -c for e, c in poly.items()} for w, poly in self.int_terms.items()}
         return AlgebraElement.from_ints(self.d, self.n, neg, self.den)
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -279,17 +285,13 @@ class AlgebraElement:
         return NotImplemented
 
     def __rmul__(self, other):
+        # Y_{d,n} is not commutative: only a scalar multiplies from the left
         if isinstance(other, (int, Fraction, LaurentU)):
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, k: int) -> AlgebraElement:
-        if k < 0:
-            raise ValueError("negative powers of a general element are not defined")
-        acc = AlgebraElement.one(self.d, self.n)
-        for _ in range(k):
-            acc = multiply(acc, self)
-        return acc
+    def _unit(self) -> AlgebraElement:
+        return AlgebraElement.one(self.d, self.n)
 
     def scale(self, c: Scalar | LaurentU) -> AlgebraElement:
         lu = c if isinstance(c, LaurentU) else LaurentU.from_scalar(c)
@@ -303,20 +305,8 @@ class AlgebraElement:
         terms = self.terms
         if not terms:
             return "0"
-        parts = []
-        for w in sorted(terms, key=_sort_key):
-            c = terms[w]
-            cs = str(c)
-            ws = str(w)
-            if ws == "1":
-                parts.append(cs if len(c.terms) == 1 and not cs.startswith("-") else f"({cs})")
-            elif cs == "1":
-                parts.append(ws)
-            elif len(c.terms) == 1 and not cs.startswith("-"):
-                parts.append(f"{cs}*{ws}")
-            else:
-                parts.append(f"({cs})*{ws}")
-        return " + ".join(parts)
+        words = sorted(terms, key=_sort_key)
+        return " + ".join(terms[w].str_times("" if str(w) == "1" else str(w)) for w in words)
 
     def __repr__(self) -> str:
         return f"<Y_({self.d},{self.n}) element: {self}>"

@@ -272,7 +272,6 @@ def test_braid_too_deep_to_trace_is_a_precondition_violation():
 
 def test_failed_esystem_check_on_computed_solution_is_internal(monkeypatch):
     """Only the commands that build solutions reach the E-system check."""
-    yhecke.esystem._solution.cache_clear()  # a cached solution would skip the check
     monkeypatch.setattr(yhecke.esystem, "verify_solution", lambda d, values: False)
     for argv in (
         ("esystem", "--d", "2", "--subset", "0"),
@@ -296,10 +295,10 @@ def test_invariant_trace_and_adelic_build_no_solution(monkeypatch, tmp_path):
     ]
     expected = [run_cli(*argv) for argv in cases]
 
-    def forbidden(d, s):
+    def forbidden(*args):
         raise AssertionError("an E-system solution was built")
 
-    monkeypatch.setattr(yhecke.esystem, "_solution", forbidden)
+    monkeypatch.setattr(yhecke.esystem, "ESolution", forbidden)
     for argv, before in zip(cases, expected):
         assert run_cli(*argv) == before and before[0] == EXIT_OK, argv
 

@@ -29,6 +29,7 @@ from yhecke.exactnum import (
     substitute_x_values,
     trace_poly_substitute,
 )
+from yhecke.yokonuma import AlgebraElement, generator
 
 # Standard cyclotomic polynomials, written out by hand as integer coefficient
 # tuples (low degree first) -- the oracle for the iterated-division builder.
@@ -493,3 +494,114 @@ def test_invalid_trace_polynomial_and_cyclotomic_rejected_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "raised"] * len(INVALID_EXACT_VALUES)
+
+
+# -- the arithmetic protocol ---------------------------------------------------
+
+def _protocol_cases():
+    """(a, b, unit, scalars) per exact type: two sample elements, the unit,
+    and whether the type coerces int and Fraction operands."""
+    z3, u = TracePolynomial.z_var(3), LaurentU.from_dict({1: 1, 0: -1})
+    g1, g2 = generator(2, 3, 1), generator(2, 3, 2)
+    return {
+        "Cyclotomic": (
+            Cyclotomic.root(5, 1) * Fraction(2, 3) + 1,
+            Cyclotomic.root(5, 2) - 3,
+            Cyclotomic.one(5),
+            True,
+        ),
+        "LaurentU": (u, LaurentU.from_dict({-2: Fraction(3, 2), 1: 1}), LaurentU.from_scalar(1), True),
+        "TracePolynomial": (
+            z3 * TracePolynomial.x_var(3, 1) + TracePolynomial.one(3),
+            TracePolynomial.x_var(3, 2).scale(u),
+            TracePolynomial.one(3),
+            False,
+        ),
+        "PolyUZ": (
+            PolyUZ.from_dict({(1, 0): Fraction(1), (0, 1): Fraction(1), (0, 0): Fraction(-1)}),
+            PolyUZ.monomial(1, 1, 2),
+            PolyUZ.one(),
+            False,
+        ),
+        "RatFunc": (
+            RatFunc.make(PolyUZ.monomial(0, 1) + PolyUZ.one(), PolyUZ.monomial(1, 0)),
+            RatFunc.u_var() - 2,
+            RatFunc.from_scalar(1),
+            True,
+        ),
+        "AlgebraElement": (g1 * u + AlgebraElement.one(2, 3), g2 * Fraction(1, 2), AlgebraElement.one(2, 3), False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_protocol_cases()))
+def test_arithmetic_protocol(name):
+    a, b, unit, scalars = _protocol_cases()[name]
+    assert a - b == a + (-b) and b - a == b + (-a)
+    s = Fraction(-3, 2)
+    if scalars:
+        assert s - a == (-a) + s and a - s == a + (-s) and s + a == a + s and s * a == a * s
+    else:
+        with pytest.raises(TypeError):
+            s - a
+    assert a ** 0 == unit and a ** 1 == a and a ** 2 == a * a
+    assert a ** 5 == a * a * a * a * a
+    if name == "RatFunc":
+        assert a ** -3 * a ** 3 == unit and (1 / a) ** 2 == a ** -2
+        with pytest.raises(ZeroDivisionError):
+            RatFunc.from_scalar(0) ** -1
+    elif name == "LaurentU":
+        assert LaurentU.u(-2, Fraction(3, 2)) ** -3 == LaurentU.u(6, Fraction(8, 27))
+        with pytest.raises(ValueError):
+            a ** -1
+    else:
+        with pytest.raises(ValueError):
+            a ** -1
+
+
+def test_power_takes_no_product_for_k1_and_one_for_k2(monkeypatch):
+    calls = []
+    real = PolyUZ.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(PolyUZ, "__mul__", counting)
+    p = PolyUZ.from_dict({(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    counts = []
+    for k in (0, 1, 2, 5, 8):
+        calls.clear()
+        p ** k
+        counts.append(len(calls))
+    assert counts == [0, 0, 1, 3, 3]
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (Cyclotomic.zero(5), "0"),
+        (Cyclotomic.from_rational(5, Fraction(-3, 2)), "-3/2"),
+        (Cyclotomic.one(5), "1"),
+        (Cyclotomic.from_rational(5, -1), "-1"),
+        (Cyclotomic.root(5, 1), "zeta5"),
+        (-Cyclotomic.root(5, 2), "-zeta5^2"),
+        (Cyclotomic.from_powers(5, (1, -2, 0, 3), 2), "1/2 - zeta5 + 3/2*zeta5^3"),
+        (LaurentU.zero(), "0"),
+        (LaurentU.from_scalar(Fraction(7, 3)), "7/3"),
+        (LaurentU.from_scalar(1), "1"),
+        (LaurentU.from_scalar(-1), "-1"),
+        (LaurentU.from_dict({2: Fraction(-1, 3), 1: 1, -1: -1, 0: 2}), "-1/3*u^2 + u + 2 - u^-1"),
+        (LaurentU.u(-2, Fraction(3, 2)), "3/2*u^-2"),
+        (PolyUZ.zero(), "0"),
+        (PolyUZ.from_scalar(Fraction(-5, 2)), "-5/2"),
+        (PolyUZ.one(), "1"),
+        (PolyUZ.from_scalar(-1), "-1"),
+        (
+            PolyUZ.from_dict({(1, 1): Fraction(5, 2), (0, 2): Fraction(-1), (1, 0): Fraction(1), (0, 0): Fraction(-1, 4)}),
+            "-z^2 + 5/2*z*u + u - 1/4",
+        ),
+        (PolyUZ.monomial(2, 0, -1), "-u^2"),
+    ],
+)
+def test_scalar_coefficient_sums_print(value, text):
+    assert str(value) == text

@@ -266,7 +266,6 @@ def test_braid_value_at_a_solution_builds_no_solution_and_substitutes_nothing(mo
     def forbidden(*args):
         raise AssertionError("called on the value path")
 
-    yhecke.esystem._solution.cache_clear()
     monkeypatch.setattr(yhecke.esystem, "verify_solution", forbidden)
     monkeypatch.setattr(yhecke.exactnum, "substitute_x_values", forbidden)
     monkeypatch.setattr(yhecke.trace, "trace_poly_substitute", forbidden)
