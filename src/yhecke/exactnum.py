@@ -94,9 +94,19 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return poly
 
 
+@lru_cache(maxsize=256)
 def euler_phi(d: int) -> int:
-    """Degree of the d-th cyclotomic polynomial."""
-    return len(cyclotomic_polynomial(d)) - 1
+    """Degree of the d-th cyclotomic polynomial, phi(d) = d * prod(1 - 1/p)
+    over the primes p dividing d, found by trial division."""
+    phi = rest = d
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi - phi // rest if rest > 1 else phi
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ On the closure of an n-strand braid with exponent sum eps the invariant is
 
 where D = 1 / (sqrt(lambda) z) is the normalization making the value of the
 unknot equal to 1.
+
+``delta_invariant`` forms the body with no general gcd: the x-free trace is
+an integer polynomial over a power of k = |S mod d| and lambda = M / (k u z)
+with M = k z + u - 1, so ``trace.solution_value`` cancels the monomial and
+divides by M over Z while it divides; the reduced body over the monic
+u^a z^b L^c, L = M / k, is the one ``RatFunc.make`` gives.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import lru_cache
 from .braid import BraidWord, exponent_sum
 from .esystem import reduce_subset
 from .exactnum import PolyUZ, RatFunc
-from .trace import trace_of_braid
+from .trace import solution_value
 
 
 @dataclass(frozen=True)
@@ -116,10 +122,10 @@ def delta_invariant(d: int, subset, b: BraidWord) -> InvariantValue:
     >>> delta_invariant(1, {0}, parse_braid("1:")).half
     0
     """
-    traced = trace_of_braid(d, b, subset)
-    n = b.strands
-    den = traced.den * PolyUZ.monomial(0, n - 1)
-    return _make_value(d, exponent_sum(b) - (n - 1), traced.num, den, lambda_param(d, subset))
+    half_power = exponent_sum(b) - (b.strands - 1)
+    h = half_power % 2
+    body = solution_value(len(reduce_subset(d, subset)), b, (half_power - h) // 2, b.strands - 1)
+    return InvariantValue(d, 0 if body.is_zero() else h, body)
 
 
 def skein_check(d: int, subset, b: BraidWord, i: int) -> bool:

@@ -22,11 +22,14 @@ letter by letter on terms E_A g_w of the algebra of braids and ties
 (Aicardi-Juyumaya; basis {E_A g_w} by Ryom-Hansen), A a set partition of the
 strands, with integer Laurent coefficients and rules that do not depend on d
 (``_tie_expansion``).  Y_{d,n} is entered only in tr(E_A g_w), which is
-cached per (d, A, w) and summed from word traces.  ``markov_trace`` of
-``yokonuma.represent_braid`` stays the element API and the reference oracle.
+cached per (d, A, w) and summed from word traces, one per class of framings
+with equal sums over the cycles of w (g_w t_j = t_{w(j)} g_w and cyclicity).
+``markov_trace`` of ``yokonuma.represent_braid`` stays the element API and the
+reference oracle.
 
 At an E-system solution (d, S) a braid's trace depends only on k = |S mod d|, so
-``trace_of_braid`` takes S and reads the trace over Q as the x-free part in Y_{k,n}.
+``trace_of_braid`` takes S and reads the trace over Q as the x-free part in
+Y_{k,n}, kept on the integers up to its canonical form (``solution_value``).
 
 Uniqueness of the trace is certified by the property suite (cyclicity and
 the two multiplicative rules on random elements) rather than assumed.
@@ -34,6 +37,7 @@ the two multiplicative rules on random elements) rather than assumed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 
@@ -41,7 +45,7 @@ from .braid import BraidWord
 # trace_poly_substitute and represent_braid stay bound here, where
 # bench/tracing.py wraps them by name; no braid trace calls them.
 from .esystem import reduce_subset
-from .exactnum import LaurentU, PolyUZ, RatFunc, TracePolynomial, trace_poly_substitute
+from .exactnum import LaurentU, PolyUZ, RatFunc, TracePolynomial, _linear_power, _monomial_shift, trace_poly_substitute
 from .yokonuma import (
     AlgebraElement,
     BasisWord,
@@ -65,7 +69,11 @@ def _times_x(mono: tuple, d: int, m: int) -> tuple:
     return ze, xe[: m - 1] + (xe[m - 1] + 1,) + xe[m:]
 
 
-@lru_cache(maxsize=None)
+# Entries of the word-trace cache: about three times what a 5-strand knot at |S| = 6 keeps, 30 times any workload.
+TRACE_WORD_CACHE = 8192
+
+
+@lru_cache(maxsize=TRACE_WORD_CACHE)
 def _trace_word(word: BasisWord) -> tuple[int, tuple[tuple[tuple, int, int], ...]]:
     """tr(word) as (den, triples): tr(word) = (1/den) * sum c u^e mono over
     its (mono, e, c) triples, den the least power of d that makes them
@@ -108,9 +116,11 @@ def _lowest_terms(d: int, den: int, triples: list) -> tuple[int, tuple]:
     return den, tuple(triples)
 
 
-def _trace_terms(terms: dict, trace=_trace_word) -> tuple[int, dict[tuple, dict[int, int]]]:
+def _trace_terms(terms: dict, trace=None) -> tuple[int, dict[tuple, dict[int, int]]]:
     """The trace of integer terms {key: {u-exponent: int}} as (den, {mono:
-    {u-exponent: int}}); ``trace`` gives each key's trace as (den, triples)."""
+    {u-exponent: int}}); ``trace`` gives each key's trace as (den, triples)
+    and defaults to ``_trace_word`` as bound at the call."""
+    trace = trace or _trace_word
     traces = [(poly, trace(w)) for w, poly in terms.items()]
     den = max((t[0] for _, t in traces), default=1)
     acc: dict[tuple, dict[int, int]] = {}
@@ -163,18 +173,28 @@ def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 def _tie_trace(d: int, key: tuple) -> tuple[int, tuple]:
     """tr(E_A g_w) for key (A, w), as ``_trace_word`` gives it: E_A is
     d^-(n-|A|) times the sum of t^a over the framings a that sum to 0 mod d
-    on every block of A."""
+    on every block of A.  As g_w t_j = t_{w(j)} g_w and the trace is cyclic,
+    tr(t^a g_w) depends on a only through its sums over the cycles of w: the
+    framings are counted by that vector, and one word per class, the sum of
+    each cycle on its first strand, is traced with its count."""
     blocks, perm = key
     n = len(perm)
     free = [(j, blocks.index(blocks[j])) for j in range(n) if blocks.index(blocks[j]) < j]
-    words = {}
+    first: list[int] = []  # the least strand of each strand's cycle
+    for j in range(n):
+        i = perm[j]
+        while i > j:
+            i = perm[i]
+        first.append(j if i == j else first[i])
+    counts: dict[tuple, int] = {}
     for values in product(range(d), repeat=len(free)):
         fr = [0] * n
-        for (j, first), a in zip(free, values):
-            fr[j] += a
-            fr[first] -= a
-        words[BasisWord(d, n, tuple(a % d for a in fr), perm)] = {0: 1}
-    den, acc = _trace_terms(words)
+        for (j, f), a in zip(free, values):
+            fr[first[j]] += a
+            fr[first[f]] -= a
+        fr = tuple(a % d for a in fr)
+        counts[fr] = counts.get(fr, 0) + 1
+    den, acc = _trace_terms({BasisWord(d, n, fr, perm): {0: c} for fr, c in counts.items()})
     return _lowest_terms(d, den * d ** len(free), [(mono, e, c) for mono, poly in acc.items() for e, c in poly.items() if c])
 
 
@@ -221,10 +241,56 @@ def trace_of_braid(d: int, b: BraidWord, subset=None) -> "TracePolynomial | RatF
     (x_m = 0 for m != 0).  The braid is traced through ``_tie_expansion`` and
     the cached tr(E_A g_w).  The oracle substitutes the solution of S into
     ``markov_trace(represent_braid(d, b))`` with ``trace_poly_substitute``."""
-    k = d if subset is None else len(reduce_subset(d, subset))
-    p = _trace_polynomial(k, *_trace_terms(_tie_expansion(k, b), partial(_tie_trace, k)))
-    if subset is None:
-        return p
-    low = min([0] + [c.min_exponent() for _, c in p.terms])
-    num = PolyUZ.from_dict({(e - low, ze): q for (ze, xe), c in p.terms if not any(xe) for e, q in c.terms})
-    return RatFunc.make(num, PolyUZ.monomial(-low, 0))
+    if subset is not None:
+        return solution_value(len(reduce_subset(d, subset)), b)
+    return _trace_polynomial(d, *_trace_terms(_tie_expansion(d, b), partial(_tie_trace, d)))
+
+
+def solution_value(k: int, b: BraidWord, fold: int = 0, z_power: int = 0) -> RatFunc:
+    """T lambda^fold / z^z_power in lowest terms, T the x-free part of the
+    trace of b in Y_{k,n} and lambda = M / (k u z) with M = k z + u - 1.
+
+    T is an integer polynomial in u^-1, u, z over a power of k.  M is divided
+    out over Z while it divides; the rest of M^c is k^c L^c with
+    L = z - (1-u)/k, so the denominator is the monic u^a z^b L^c of
+    ``RatFunc.make``'s canonical form.
+    """
+    den, acc = _trace_terms(_tie_expansion(k, b), partial(_tie_trace, k))
+    num = {(e, ze): c for (ze, xe), poly in acc.items() if not any(xe) for e, c in poly.items() if c}
+    if not num:
+        return RatFunc(PolyUZ.zero(), PolyUZ.one())
+    # with the monomial content u^lu z^lz out, neither M nor a division by it brings one back
+    lu, lz = min(e for e, _ in num), min(ze for _, ze in num)
+    num = {(e - lu, ze - lz): c for (e, ze), c in num.items()}
+    for _ in range(fold):
+        num = _times_m(num, k)
+    left = max(-fold, 0)
+    while left and (quotient := _divide_m(num, k)) is not None:
+        num, left = quotient, left - 1
+    scale = Fraction(k ** max(-fold, 0), den * k ** (max(fold, 0) + left))
+    ue, ze = lu - fold, lz - fold - z_power  # the monomial u^ue z^ze of the value
+    body = PolyUZ.from_dict({(e + max(ue, 0), z + max(ze, 0)): scale * c for (e, z), c in num.items()})
+    ell = PolyUZ.from_dict({(0, 1): Fraction(1), (1, 0): Fraction(1, k), (0, 0): Fraction(-1, k)})
+    return RatFunc(body, _monomial_shift(_linear_power(ell, left), max(-ue, 0), max(-ze, 0)))
+
+
+def _times_m(num: dict, k: int) -> dict:
+    """num * (u + k z - 1), polynomials as {(u-exponent, z-exponent): int}."""
+    out: dict = {}
+    for (e, ze), c in num.items():
+        for mono, mc in (((e, ze + 1), k * c), ((e + 1, ze), c), ((e, ze), -c)):
+            out[mono] = out.get(mono, 0) + mc
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _divide_m(num: dict, k: int) -> "dict | None":
+    """num / (u + k z - 1) over Z, or None when it does not divide: synthetic
+    division in u, where the divisor is monic, for num with no negative exponent."""
+    num, quot = dict(num), {}
+    for j in range(max(e for e, _ in num), 0, -1):
+        # row j of what is left is row j - 1 of the quotient; taking it times M off clears row j
+        for ze, c in [(ze, c) for (e, ze), c in num.items() if e == j and c]:
+            quot[(j - 1, ze)] = c
+            num[(j - 1, ze + 1)] = num.get((j - 1, ze + 1), 0) - k * c
+            num[(j - 1, ze)] = num.get((j - 1, ze), 0) + c
+    return None if any(c for (e, _), c in num.items() if not e) else quot

@@ -14,6 +14,7 @@ import pytest
 
 import yhecke.cli
 import yhecke.esystem
+import yhecke.exactnum
 from yhecke.cli import EXIT_COHERENCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
 from yhecke.exactnum import PolyUZ, RatFunc
 
@@ -301,6 +302,54 @@ def test_invariant_trace_and_adelic_build_no_solution(monkeypatch, tmp_path):
     monkeypatch.setattr(yhecke.esystem, "ESolution", forbidden)
     for argv, before in zip(cases, expected):
         assert run_cli(*argv) == before and before[0] == EXIT_OK, argv
+
+
+def test_invariant_trace_and_adelic_form_no_general_canonical_form(monkeypatch, tmp_path):
+    """Values and bodies are built over Z on their known denominators: after
+    a warm-up, with ``RatFunc.make`` and ``poly_gcd`` failing, ``invariant``,
+    ``trace --subset`` and ``adelic`` records print the same bytes."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a;2: 1 1 1\nb;3: 1 -2 1 2\nc;2: -1 -1 -1\nd;4: -1 -2 -3 2\n", encoding="utf-8")
+    cases = [
+        ("invariant", "--d", "6", "--subset", "0,3", "--corpus", str(corpus), "--eval-u", "2", "--eval-z", "3"),
+        ("invariant", "--d", "3", "--subset", "0,1,2", "--corpus", str(corpus), "--format", "json"),
+        ("trace", "--d", "6", "--subset", "0,2,4", "--corpus", str(corpus), "--format", "json"),
+        ("adelic", "--chain", "2,4,8", "--subset", "0", "--corpus", str(corpus), "--format", "json"),
+    ]
+    expected = [run_cli(*argv) for argv in cases]
+
+    def forbidden(*args):
+        raise AssertionError("a general canonical form was formed")
+
+    monkeypatch.setattr(RatFunc, "make", staticmethod(forbidden))
+    monkeypatch.setattr(yhecke.exactnum, "poly_gcd", forbidden)
+    for argv, before in zip(cases, expected):
+        assert run_cli(*argv) == before and before[0] == EXIT_OK, argv
+
+
+def test_undecodable_corpus_is_a_usage_error(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"\xff\xfe2: 1 1\n")
+    code, out, err = run_cli("invariant", "--d", "2", "--subset", "0", "--corpus", str(corpus))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: cannot read corpus file {str(corpus)!r}: ") and "0xff" in err
+    assert err.count("\n") == 1
+
+
+def test_verify_esystem_checks_each_solution_once(monkeypatch):
+    """Building a solution verifies it; the suite adds no second check."""
+    checked = []
+    verify = yhecke.esystem.verify_solution
+
+    def counted(d, values):
+        checked.append(d)
+        return verify(d, values)
+
+    monkeypatch.setattr(yhecke.esystem, "verify_solution", counted)
+    monkeypatch.setattr(yhecke.cli, "verify_solution", counted, raising=False)
+    code, out, _ = run_cli("verify", "--suite", "esystem")
+    assert code == EXIT_OK and out.count("ok   esystem") == 6
+    assert len(checked) == sum(2**d - 1 for d in range(1, 7))
 
 
 @pytest.mark.parametrize(

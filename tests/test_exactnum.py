@@ -63,6 +63,10 @@ def test_euler_phi_matches_gcd_count(d):
     assert euler_phi(d) == totient_oracle(d)
 
 
+def test_euler_phi_is_the_degree_of_the_cyclotomic_polynomial():
+    assert [euler_phi(d) for d in range(1, 301)] == [len(cyclotomic_polynomial(d)) - 1 for d in range(1, 301)]
+
+
 @pytest.mark.parametrize("d", range(1, 13))
 def test_roots_have_order_d_and_reconstruct_phi(d):
     one = Cyclotomic.one(d)

@@ -16,9 +16,13 @@ import pytest
 
 from conftest import random_braid, random_conjugator
 from yhecke.braid import BraidWord, markov_conjugate, markov_stabilize, parse_braid
+import yhecke.trace
+from yhecke.braid import exponent_sum
+from yhecke.esystem import reduce_subset
 from yhecke.exactnum import PolyUZ, RatFunc
 from yhecke.invariant import (
     InvariantValue,
+    _make_value,
     delta_invariant,
     evaluate_numeric,
     homflypt_specialize,
@@ -30,6 +34,7 @@ from yhecke.invariant import (
     value_scale_half,
     value_sub,
 )
+from yhecke.trace import solution_value, trace_of_braid
 
 PAIRS = [(1, {0}), (2, {0}), (2, {0, 1}), (3, {0, 1, 2}), (4, {0, 2})]
 
@@ -311,3 +316,46 @@ def test_invariants_separate_oriented_links_that_homflypt_does_not():
         assert delta_invariant(d, subset, a) == delta_invariant(d, subset, b)
     for d, subset in ((2, {0, 1}), (3, {0, 1, 2})):
         assert delta_invariant(d, subset, a) != delta_invariant(d, subset, b)
+
+
+def make_oracle(d: int, subset, b: BraidWord) -> tuple[RatFunc, InvariantValue]:
+    """The value of b at (d, S) and its invariant through ``RatFunc.make``: the
+    x-free part of the generic trace at k = |S| over u^-low, folded with lambda
+    by ``_make_value``."""
+    k = len(reduce_subset(d, subset))
+    p = trace_of_braid(k, b)
+    low = min([0] + [c.min_exponent() for _, c in p.terms])
+    num = PolyUZ.from_dict({(e - low, ze): q for (ze, xe), c in p.terms if not any(xe) for e, q in c.terms})
+    traced = RatFunc.make(num, PolyUZ.monomial(-low, 0))
+    den = traced.den * PolyUZ.monomial(0, b.strands - 1)
+    return traced, _make_value(d, exponent_sum(b) - (b.strands - 1), traced.num, den, lambda_param(d, subset))
+
+
+def test_integer_body_equals_the_make_oracle():
+    """The value and body built over Z on u^a z^b L^c are the canonical forms
+    ``RatFunc.make`` gives, for seeded braids with n <= 5 at |S| = 1..6 and
+    at non-full subsets; lambda^fold with fold < 0 is cancelled where it divides."""
+    rng = random.Random(33)
+    cases = [(4, range(4), parse_braid("2: -1")), (1, {0}, parse_braid("4: -2 -3 -3")),
+             (6, {0, 2, 4}, parse_braid("3: -2")), (4, {0, 1, 3}, parse_braid("1:"))]
+    for _ in range(90):
+        n = rng.randint(2, 5)
+        b = random_braid(rng, n, len_max=8 if n < 5 else 5, min_len=0)
+        if rng.random() < 0.4:
+            b = BraidWord(n, tuple(-abs(x) for x in b.letters))
+        k = rng.randint(1, 6)
+        cases.append((k, range(k), b))
+    for d, subset, b in cases:
+        traced, value = make_oracle(d, subset, b)
+        assert trace_of_braid(d, b, subset) == traced, (d, subset, b)
+        assert delta_invariant(d, subset, b) == value, (d, subset, b)
+    # the unknot as a negative stabilization: lambda^-1 is cancelled whole
+    assert delta_invariant(4, range(4), parse_braid("2: -1")) == InvariantValue(4, 0, RatFunc.from_scalar(1))
+
+
+def test_zero_trace_gives_the_zero_body(monkeypatch):
+    monkeypatch.setattr(yhecke.trace, "_tie_trace", lambda d, key: (1, ()))
+    zero = RatFunc.make(PolyUZ.zero(), PolyUZ.one())
+    for fold in (-2, 0, 3):
+        assert solution_value(2, parse_braid("1 1"), fold, 1) == zero
+    assert delta_invariant(2, {0}, parse_braid("1 1")) == InvariantValue(2, 0, zero)

@@ -25,7 +25,7 @@ from yhecke.exactnum import (
     substitute_x_values,
     trace_poly_substitute,
 )
-from yhecke.trace import _join, _tie_expansion, markov_trace, trace_of_braid
+from yhecke.trace import _join, _tie_expansion, _trace_polynomial, markov_trace, trace_of_braid
 from yhecke.yokonuma import (
     AlgebraElement,
     BasisWord,
@@ -405,4 +405,44 @@ def test_tie_trace_cache_is_bounded_and_exact_under_eviction(monkeypatch):
             b = random_braid(rng, 3, len_max=7)
             assert trace_of_braid(d, b) == markov_trace(represent_braid(d, b)), (d, b)
             assert small.cache_info().currsize <= 8
+    assert small.cache_info().misses > 8
+
+
+def tie_keys(n: int) -> list[tuple]:
+    """Every key (A, w) on n strands: A as canonical block labels, w a permutation."""
+    labels = [()]
+    for _ in range(n):
+        labels = [a + (b,) for a in labels for b in range(max(a, default=-1) + 2)]
+    return [(a, w) for a in labels for w in itertools.permutations(range(n))]
+
+
+def test_tie_trace_by_cycle_classes_equals_the_definition():
+    """tr(E_A g_w), traced on one framing per class of cycle sums, is the
+    trace of E_A g_w summed over all its framings: every key with n <= 4 and
+    d <= 3, and seeded 5-strand keys."""
+    cases = [(d, key) for n in range(1, 5) for key in tie_keys(n) for d in (1, 2, 3)]
+    rng = random.Random(33)
+    cases += [(d, key) for d in (2, 3) for key in rng.sample(tie_keys(5), 12)]
+    for d, key in cases:
+        den, triples = yhecke.trace._tie_trace.__wrapped__(d, key)
+        acc: dict = {}
+        for mono, e, c in triples:
+            acc.setdefault(mono, {})[e] = c
+        assert _trace_polynomial(d, den, acc) == markov_trace(tie_element(d, *key)), (d, key)
+
+
+def test_word_trace_cache_is_bounded_and_exact_under_eviction(monkeypatch):
+    """The word-trace cache is bounded; with a bound of 8, word traces are
+    evicted and recomputed and every trace stays what it was."""
+    assert yhecke.trace._trace_word.cache_info().maxsize == yhecke.trace.TRACE_WORD_CACHE
+    rng = random.Random(10)
+    cases = [(d, random_braid(rng, n, len_max=7)) for d in (2, 3) for n in (3, 4) for _ in range(3)]
+    expected = [markov_trace(represent_braid(d, b)) for d, b in cases]
+    small = lru_cache(maxsize=8)(yhecke.trace._trace_word.__wrapped__)
+    monkeypatch.setattr(yhecke.trace, "_trace_word", small)
+    monkeypatch.setattr(yhecke.trace, "_tie_trace", lru_cache(maxsize=8)(yhecke.trace._tie_trace.__wrapped__))
+    for (d, b), value in zip(cases, expected):
+        assert trace_of_braid(d, b) == value, (d, b)
+        assert markov_trace(represent_braid(d, b)) == value, (d, b)
+        assert small.cache_info().currsize <= 8
     assert small.cache_info().misses > 8
