@@ -86,7 +86,6 @@ from .trace import markov_trace, trace_of_braid
 from .yokonuma import (
     AlgebraElement,
     BasisWord,
-    InexactDivisionError,
     generator,
     idempotent_e,
     multiply,
@@ -107,6 +106,20 @@ class UsageError(ValueError):
 
 class PreconditionError(ValueError):
     """Well-formed input that violates a mathematical precondition (exit 2)."""
+
+
+# The largest modulus d where the output or the work grows with d itself: a
+# JSON body pads each coefficient to phi(d) entries, the generic trace carries
+# x_1..x_{d-1}, esystem builds Q(zeta_d), and adelic level d_j lifts S to
+# |S| d_j / d_1 residues.  Text-mode invariant and trace --subset read only
+# |S mod d| and take any d.
+MAX_MODULUS = 10_000
+
+
+def _check_modulus(d: int):
+    """Exit 2, before any work, for a modulus above ``MAX_MODULUS``."""
+    if d > MAX_MODULUS:
+        raise PreconditionError(f"modulus d = {d} is above the limit {MAX_MODULUS} for this output")
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +267,11 @@ def _approx_lines(point: "tuple[complex, complex] | None", fields: dict) -> list
 def _run_records(args, out, err, record, document: "str | None" = None) -> int:
     """The record loop of the braid subcommands.
 
-    ``record(braid)`` returns the record's JSON fields and a function giving
-    its text lines, which is called only in text mode.  Bad corpus records
-    are reported on ``err`` and kept in the JSON as errors; corpus text lines
-    carry a ``name: `` prefix.  The JSON document is the list of entries for
+    ``record(braid)`` computes the record and returns two functions: one
+    giving its JSON fields, called only in JSON mode, and one giving its text
+    lines, called only in text mode.  Bad corpus records are reported on
+    ``err`` and kept in the JSON as errors; corpus text lines carry a
+    ``name: `` prefix.  The JSON document is the list of entries for
     a corpus, else the single entry, or its field ``document`` when given.
     """
     text = args.format == "text"
@@ -272,11 +286,12 @@ def _run_records(args, out, err, record, document: "str | None" = None) -> int:
         except RecursionError as exc:
             # the trace recurses once per strand
             raise PreconditionError(f"a braid on {rec.strands} strands is too deep to trace") from exc
-        results.append({"name": name, "braid": format_braid(rec), **fields})
         if text:
             prefix = f"{name}: " if args.corpus else ""
             for line in lines():
                 print(prefix + line, file=out)
+        else:
+            results.append({"name": name, "braid": format_braid(rec), **fields()})
     if not text:
         payload = results if args.corpus else results[0]
         if document is not None and not args.corpus:
@@ -287,23 +302,30 @@ def _run_records(args, out, err, record, document: "str | None" = None) -> int:
 
 def _cmd_invariant(args, out, err) -> int:
     d = args.d
+    if args.format == "json":
+        _check_modulus(d)
     subset = _parse_subset(args.subset, d)
     point = _numeric_point(args)
 
     def record(braid):
         value = delta_invariant(d, subset, braid)
-        fields = {
-            "d": d,
-            "subset": sorted(subset),
-            "components": closure_component_count(braid),
-            "exponentSum": exponent_sum(braid),
-            "invariant": _json_invariant(value),
-        }
+        approx = {}
         if point is not None:
             dens = (value.body.den, lambda_param(d, subset).den)
-            fields["approx"] = _approx(point, dens, evaluate_numeric, value, subset)
+            approx["approx"] = _approx(point, dens, evaluate_numeric, value, subset)
+
+        def fields():
+            return {
+                "d": d,
+                "subset": sorted(subset),
+                "components": closure_component_count(braid),
+                "exponentSum": exponent_sum(braid),
+                "invariant": _json_invariant(value),
+                **approx,
+            }
+
         return fields, lambda: [
-            f"Delta[{render_subset(d, subset)}]({format_braid(braid)}) = {value}", *_approx_lines(point, fields)
+            f"Delta[{render_subset(d, subset)}]({format_braid(braid)}) = {value}", *_approx_lines(point, approx)
         ]
 
     return _run_records(args, out, err, record)
@@ -311,6 +333,8 @@ def _cmd_invariant(args, out, err) -> int:
 
 def _cmd_trace(args, out, err) -> int:
     d = args.d
+    if args.subset is None or args.format == "json":
+        _check_modulus(d)
     subset = None if args.subset is None else _parse_subset(args.subset, d)
     point = _numeric_point(args)
     if point is not None and subset is None:
@@ -318,19 +342,23 @@ def _cmd_trace(args, out, err) -> int:
 
     def record(braid):
         value = trace_of_braid(d, braid, subset)
-        if subset is None:
-            fields = {"d": d, "trace": _json_trace_poly(value)}
-        else:
-            fields = {"d": d, "subset": sorted(subset), "trace": _json_ratfunc(value, d)}
+        approx = {}
         if point is not None:
-            fields["approx"] = _approx(point, (value.den,), value.eval_complex)
-        return fields, lambda: [f"tr_{d}({format_braid(braid)}) = {value}", *_approx_lines(point, fields)]
+            approx["approx"] = _approx(point, (value.den,), value.eval_complex)
+
+        def fields():
+            if subset is None:
+                return {"d": d, "trace": _json_trace_poly(value)}
+            return {"d": d, "subset": sorted(subset), "trace": _json_ratfunc(value, d), **approx}
+
+        return fields, lambda: [f"tr_{d}({format_braid(braid)}) = {value}", *_approx_lines(point, approx)]
 
     return _run_records(args, out, err, record)
 
 
 def _cmd_esystem(args, out, err) -> int:
     d = args.d
+    _check_modulus(d)
     if args.enumerate:
         subsets = list(enumerate_subsets(d))
     elif args.subset is not None:
@@ -362,19 +390,21 @@ def _cmd_esystem(args, out, err) -> int:
 
 def _cmd_adelic(args, out, err) -> int:
     chain = _parse_chain(args.chain)
+    _check_modulus(chain.entries[-1])  # the chain increases
     d1 = chain.entries[0]
     subset = _parse_subset(args.subset, d1)
     lifts = [(d, lift_subset(d1, d, subset)) for d in chain.entries]
 
     def record(braid):
-        values = adelic_delta(chain, subset, braid)
-        levels = [
-            {"d": d, "subset": sorted(lifted), "invariant": _json_invariant(value)}
-            for (d, lifted), value in zip(lifts, values)
-        ]
-        return {"chain": list(chain.entries), "levels": levels}, lambda: [
-            f"Delta[{render_subset(d, lifted)}]({format_braid(braid)}) = {value}"
-            for (d, lifted), value in zip(lifts, values)
+        levels = list(zip(lifts, adelic_delta(chain, subset, braid)))
+
+        def fields():
+            return {"chain": list(chain.entries), "levels": [
+                {"d": d, "subset": sorted(lifted), "invariant": _json_invariant(value)} for (d, lifted), value in levels
+            ]}
+
+        return fields, lambda: [
+            f"Delta[{render_subset(d, lifted)}]({format_braid(braid)}) = {value}" for (d, lifted), value in levels
         ]
 
     # a single braid renders as the bare array of per-level invariants
@@ -623,7 +653,7 @@ def main(argv: "Sequence[str] | None" = None, out=None, err=None) -> int:
     except CoherenceError as exc:
         print(f"internal coherence failure: {exc}", file=err)
         return EXIT_COHERENCE
-    except (DenominatorFamilyError, ESystemError, InexactDivisionError) as exc:
+    except (DenominatorFamilyError, ESystemError) as exc:
         print(f"internal failure: {exc}", file=err)
         return EXIT_COHERENCE
     except ValueError as exc:

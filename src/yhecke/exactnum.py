@@ -72,7 +72,7 @@ def _divmod_monic(a: Sequence[int], b: tuple[int, ...]) -> tuple[tuple[int, ...]
     return tuple(quot), tuple(rem[:deg])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """The d-th cyclotomic polynomial Phi_d, low degree first.  It is monic
     with integer coefficients: x^d - 1 divided exactly by Phi_e for every

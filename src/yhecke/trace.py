@@ -21,11 +21,11 @@ so ``trace_of_braid`` does not expand it on the words t^a g_w.  It rewrites the 
 letter by letter on terms E_A g_w of the algebra of braids and ties
 (Aicardi-Juyumaya; basis {E_A g_w} by Ryom-Hansen), A a set partition of the
 strands, with integer Laurent coefficients and rules that do not depend on d
-(``_tie_expansion``).  Y_{d,n} is entered only in tr(E_A g_w), which is
+(``yokonuma._tie_expansion``, which ``yokonuma.represent_braid`` expands on
+the words t^a g_w).  Y_{d,n} is entered only in tr(E_A g_w), which is
 cached per (d, A, w) and summed from word traces, one per class of framings
 with equal sums over the cycles of w (g_w t_j = t_{w(j)} g_w and cyclicity).
-``markov_trace`` of ``yokonuma.represent_braid`` stays the element API and the
-reference oracle.
+``markov_trace`` of ``represent_braid`` stays the element API.
 
 At an E-system solution (d, S) a braid's trace depends only on k = |S mod d|, so
 ``trace_of_braid`` takes S and reads the trace over Q as the x-free part in
@@ -37,9 +37,9 @@ the two multiplicative rules on random elements) rather than assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
 
 from .braid import BraidWord
 # trace_poly_substitute and represent_braid stay bound here, where
@@ -49,10 +49,8 @@ from .exactnum import LaurentU, PolyUZ, RatFunc, TracePolynomial, _linear_power,
 from .yokonuma import (
     AlgebraElement,
     BasisWord,
-    _U_MINUS_ONE,
-    _UINV_MINUS_ONE,
-    _add_product,
-    _swap_positions,
+    _block_zero_framings,
+    _tie_expansion,
     _times_word,
     canonical_reduced_word,
     compose,
@@ -160,78 +158,25 @@ def _trace_polynomial(d: int, den: int, acc: dict) -> TracePolynomial:
 TIE_TRACE_CACHE = 4096
 
 
-def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """The set partition ``blocks`` with the blocks of strands a and b joined.
-    Labels are canonical: blocks are numbered 0, 1, ... by their first strand."""
-    lo, hi = sorted((blocks[a], blocks[b]))
-    if lo == hi:
-        return blocks
-    return tuple(lo if x == hi else x - (x > hi) for x in blocks)
-
-
 @lru_cache(maxsize=TIE_TRACE_CACHE)
 def _tie_trace(d: int, key: tuple) -> tuple[int, tuple]:
     """tr(E_A g_w) for key (A, w), as ``_trace_word`` gives it: E_A is
-    d^-(n-|A|) times the sum of t^a over the framings a that sum to 0 mod d
-    on every block of A.  As g_w t_j = t_{w(j)} g_w and the trace is cyclic,
-    tr(t^a g_w) depends on a only through its sums over the cycles of w: the
-    framings are counted by that vector, and one word per class, the sum of
-    each cycle on its first strand, is traced with its count."""
+    d^-(n-|A|) times the sum of t^a over ``_block_zero_framings``.  As
+    g_w t_j = t_{w(j)} g_w and the trace is cyclic, tr(t^a g_w) depends on a
+    only through its sums over the cycles of w: the framings are counted by
+    that vector, and one word per class, the sum of each cycle on its first
+    strand, is traced with its count."""
     blocks, perm = key
     n = len(perm)
-    free = [(j, blocks.index(blocks[j])) for j in range(n) if blocks.index(blocks[j]) < j]
     first: list[int] = []  # the least strand of each strand's cycle
     for j in range(n):
         i = perm[j]
         while i > j:
             i = perm[i]
         first.append(j if i == j else first[i])
-    counts: dict[tuple, int] = {}
-    for values in product(range(d), repeat=len(free)):
-        fr = [0] * n
-        for (j, f), a in zip(free, values):
-            fr[first[j]] += a
-            fr[first[f]] -= a
-        fr = tuple(a % d for a in fr)
-        counts[fr] = counts.get(fr, 0) + 1
+    counts = Counter(_block_zero_framings(d, blocks, first))
     den, acc = _trace_terms({BasisWord(d, n, fr, perm): {0: c} for fr, c in counts.items()})
-    return _lowest_terms(d, den * d ** len(free), [(mono, e, c) for mono, poly in acc.items() for e, c in poly.items() if c])
-
-
-def _tie_expansion(d: int, b: BraidWord) -> dict:
-    """The image of a braid in Y_{d,n} as {(A, w): {u-exponent: int}}, terms
-    E_A g_w with integer coefficients: A a set partition of the strands as
-    canonical block labels, and E_A the product of the e_{j,k} over pairs
-    j, k in one block.  It is rewritten letter by letter.  With p = i - 1 and
-    A+ the partition A with the blocks of strands w[p] and w[p+1] joined,
-    E_A g_w g_i is E_A g_{w s_i} when w[p] < w[p+1], and otherwise
-
-        E_A g_{w s_i} + (u - 1) E_{A+} g_{w s_i} - (u - 1) E_{A+} g_w.
-
-    g_i^-1 = g_i - (u^-1 - 1) e_i + (u^-1 - 1) e_i g_i with E_A g_w e_i =
-    E_{A+} g_w gives the same rule with u^-1 for u and the two cases swapped.
-    Each rule is an identity in Y_{d,n} for every d; at d = 1 every E_A is 1,
-    so A stays all singletons.  For d = 2, g_1^2 = 1 + (u-1) e_1 - (u-1) e_1 g_1:
-
-    >>> from .braid import parse_braid
-    >>> sorted(_tie_expansion(2, parse_braid("1 1")).items())
-    [(((0, 0), (0, 1)), {1: 1, 0: -1}), (((0, 0), (1, 0)), {1: -1, 0: 1}), (((0, 1), (0, 1)), {0: 1})]
-    """
-    n = b.strands
-    terms = {(tuple(range(n)), tuple(range(n))): {0: 1}}
-    for letter in b.letters:
-        p = abs(letter) - 1
-        c = dict(_U_MINUS_ONE if letter > 0 else _UINV_MINUS_ONE)
-        out: dict = {}
-        for (blocks, w), poly in terms.items():
-            ws = _swap_positions(w, p)
-            _add_product(out.setdefault((blocks, ws), {}), poly, {0: 1})
-            if (w[p] < w[p + 1]) != (letter > 0):
-                joined = _join(blocks, w[p], w[p + 1]) if d > 1 else blocks
-                _add_product(out.setdefault((joined, ws), {}), poly, c)
-                _add_product(out.setdefault((joined, w), {}), poly, c, -1)
-        terms = {key: kept for key, poly in out.items() if (kept := {e: v for e, v in poly.items() if v})}
-    return terms
+    return _lowest_terms(d, den * d ** (n - len(set(blocks))), [(mono, e, c) for mono, poly in acc.items() for e, c in poly.items() if c])
 
 
 def trace_of_braid(d: int, b: BraidWord, subset=None) -> "TracePolynomial | RatFunc":

@@ -30,16 +30,14 @@ Integer kernel
 --------------
 The only denominators are the powers of d that e_i brings in.  So
 products are formed over the integers: a product in progress is a map
-{basis word: {u-exponent: int}} read over a tracked denominator, and every
-cached table (``_word_times_g``, ``_word_times_letter``) holds
-d * word * letter as (word, u-exponent, int) triples.  A braid of k
-letters is thus collected over d^k.  A negative letter is rewritten
-directly from g_i^-1 = g_i - (u^-1 - 1) e_i + (u^-1 - 1) e_i g_i, where
-word * e_i is a sum of framing shifts over d; the sum is collected over
-d^2 and divided by d, each division checked (``InexactDivisionError``).
-``AlgebraElement`` stores this form itself, in lowest terms, so
-``multiply``, ``represent_braid`` and ``trace.markov_trace`` pass it on
-without conversion; ``LaurentU`` appears only in the rational API.
+{basis word: {u-exponent: int}} read over a tracked denominator, and the
+cached table ``_word_times_g`` holds d * word * g_i as (word, u-exponent,
+int) triples.  ``AlgebraElement`` stores this form itself, in lowest terms,
+so ``multiply``, ``represent_braid`` and ``trace.markov_trace`` pass it on
+without conversion; ``LaurentU`` appears only in the rational API.  A braid
+is rewritten on terms E_A g_w of the algebra of braids and ties, whose rules
+have integer coefficients and do not depend on d (``_tie_expansion``); so
+no division is left, and ``represent_braid`` expands the E_A g_w on t^a g_w.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Mapping
 
 from .braid import BraidWord
@@ -96,7 +95,14 @@ def _swap_positions(p: tuple[int, ...], pos: int) -> tuple[int, ...]:
     return tuple(q)
 
 
-@lru_cache(maxsize=None)
+# Entries of each of the reduced-word, basis-word and word-times-g caches:
+# bounded so that a long corpus keeps memory flat.  Over 100 times what any
+# benchmark workload keeps, and about 4 times what a 6-strand link at
+# |S| = 4 keeps.
+WORD_CACHE = 16384
+
+
+@lru_cache(maxsize=WORD_CACHE)
 def canonical_reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     """The fixed reduced word for a permutation, as 1-based generator indices.
 
@@ -176,7 +182,7 @@ class BasisWord:
 
 # One instance per basis word in the kernel's tables, so that its dict
 # lookups match keys by identity instead of calling BasisWord.__eq__.
-_basis_word = lru_cache(maxsize=None)(BasisWord)
+_basis_word = lru_cache(maxsize=WORD_CACHE)(BasisWord)
 
 # Integer-kernel terms: {word: {u-exponent: int}}, read over a denominator.
 _Scaled = dict
@@ -320,11 +326,6 @@ _U_MINUS_ONE = ((1, 1), (0, -1))
 _UINV_MINUS_ONE = ((-1, 1), (0, -1))
 
 
-class InexactDivisionError(ArithmeticError):
-    """A coefficient of the integer kernel that must be divisible by d was
-    not; the kernel would have lost exactness."""
-
-
 def _shift_framings(fr: tuple[int, ...], perm: tuple[int, ...],
                     add: tuple[int, ...], d: int) -> tuple[int, ...]:
     """Framings of (t^fr g_perm) * t^add: exponent add_j lands at perm(j)."""
@@ -349,7 +350,7 @@ def _framing_shifts(word: BasisWord, i: int) -> list[BasisWord]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WORD_CACHE)
 def _word_times_g(word: BasisWord, i: int) -> tuple[tuple[BasisWord, int, int], ...]:
     """Right multiplication of a basis word by g_i (1-based), rewritten into
     canonical basis words: d * word * g_i as (word, u-exponent, int) triples.
@@ -374,13 +375,14 @@ def _word_times_g(word: BasisWord, i: int) -> tuple[tuple[BasisWord, int, int], 
     return tuple((w, e, c) for (w, e), c in acc.items() if c)
 
 
-def _right_multiply(terms: _Scaled, table, arg: int) -> _Scaled:
-    """Every word of ``terms`` times one letter, through a cached table that
-    is scaled by d; so the result is scaled by one more factor of d.  Zero
-    coefficients, and words left with none, are dropped."""
-    out: _Scaled = {}
+def _right_multiply(terms: dict, table, *args) -> dict:
+    """Every key of ``terms`` {key: {u-exponent: int}} times one letter,
+    through a cached table ``table(key, *args)`` of (key, u-exponent, int)
+    triples; the result carries the table's scale.  Zero coefficients, and
+    keys left with none, are dropped."""
+    out: dict = {}
     for w, poly in terms.items():
-        for w2, e2, c2 in table(w, arg):
+        for w2, e2, c2 in table(w, *args):
             dst = out.get(w2)
             if dst is None:
                 dst = out[w2] = {}
@@ -500,74 +502,118 @@ def power_formula(d: int, n: int, i: int, m: int) -> AlgebraElement:
     return g - e.scale(beta) + eg.scale(beta)
 
 
-def _divide_by_d(acc: Counter, d: int) -> tuple[tuple[BasisWord, int, int], ...]:
-    """The {(word, u-exponent): int} of ``acc`` as triples divided by d,
-    each division checked."""
-    out = []
-    for (w, e), c in acc.items():
-        q, r = divmod(c, d)
-        if r:
-            raise InexactDivisionError(f"coefficient {c} of {w} u^{e} is not divisible by d={d}")
-        if q:
-            out.append((w, e, q))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _word_times_letter(word: BasisWord, letter: int) -> tuple[tuple[BasisWord, int, int], ...]:
-    """d * word * g_i for a letter i > 0 and d * word * g_i^-1 for -i, as
-    (word, u-exponent, int) triples, rewritten directly.
-
-    g_i^-1 = g_i - (u^-1 - 1) e_i + (u^-1 - 1) e_i g_i, where word * e_i is
-    a sum of framing shifts over d.  The sum is collected at scale d^2 and
-    divided by d; e_i^2 = e_i makes that division exact.
-    """
-    if letter > 0:
-        return _word_times_g(word, letter)
-    i = -letter
-    d = word.d
-    acc: Counter = Counter()
-    for w, e, c in _word_times_g(word, i):
-        acc[w, e] += d * c
-    for shifted in _framing_shifts(word, i):
-        for e, c in _UINV_MINUS_ONE:
-            acc[shifted, e] -= d * c
-        for w, e2, c2 in _word_times_g(shifted, i):
-            for e, c in _UINV_MINUS_ONE:
-                acc[w, e + e2] += c * c2
-    return _divide_by_d(acc, d)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _letter_image(d: int, n: int, letter: int) -> AlgebraElement:
     """The image of one braid letter: g_i, or g_i^-1 from its rewriting."""
     return represent_braid(d, BraidWord(n, (letter,)))
 
 
-def represent_braid(d: int, b: BraidWord) -> AlgebraElement:
-    """Image of a braid word in Y_{d,n}: each positive letter maps to g_i,
-    each negative letter to the inverse formula, multiplied left to right.
+# ---------------------------------------------------------------------------
+# Braids on terms E_A g_w of the algebra of braids and ties.
+# ---------------------------------------------------------------------------
 
-    The product is formed over the integers, scaled by d per letter, and
-    kept over d^k in lowest terms.  For d = 2, 2 * g1^-1 as integer triples
-    (word, u-exponent, coefficient), and the image of g1^-1:
+# Entries of the ties letter table: over five times what any benchmark workload keeps.
+TIE_LETTER_CACHE = 4096
+
+
+def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """The set partition ``blocks`` with the blocks of strands a and b joined.
+    Labels are canonical: blocks are numbered 0, 1, ... by their first strand."""
+    lo, hi = sorted((blocks[a], blocks[b]))
+    if lo == hi:
+        return blocks
+    return tuple(lo if x == hi else x - (x > hi) for x in blocks)
+
+
+def _block_zero_framings(d: int, blocks: tuple[int, ...], into=None):
+    """The framings a, as residues mod d, whose sum over every block of
+    ``blocks`` is 0 mod d: E_A is d^-(n-|A|) times the sum of t^a over them.
+    Every strand but the first of its block is free, and the first takes
+    minus their sum.  Given ``into``, a_j is added at strand into[j]
+    instead, so each framing comes summed over the classes of ``into``."""
+    n = len(blocks)
+    into = into or range(n)
+    free = [(into[j], into[blocks.index(blocks[j])]) for j in range(n) if blocks.index(blocks[j]) < j]
+    for values in product(range(d), repeat=len(free)):
+        fr = [0] * n
+        for (j, f), a in zip(free, values):
+            fr[j] += a
+            fr[f] -= a
+        yield tuple(a % d for a in fr)
+
+
+@lru_cache(maxsize=TIE_LETTER_CACHE)
+def _word_times_letter(key: tuple, letter: int, join: bool) -> tuple[tuple[tuple, int, int], ...]:
+    """E_A g_w times g_i for a letter i > 0, and times g_i^-1 for -i, as
+    ((A', w'), u-exponent, int) triples, where key is (A, w).  With p = i - 1
+    and A+ the partition A with the blocks of strands w[p] and w[p+1]
+    joined, E_A g_w g_i is E_A g_{w s_i} when w[p] < w[p+1], and otherwise
+
+        E_A g_{w s_i} + (u - 1) E_{A+} g_{w s_i} - (u - 1) E_{A+} g_w.
+
+    g_i^-1 = g_i - (u^-1 - 1) e_i + (u^-1 - 1) e_i g_i with E_A g_w e_i =
+    E_{A+} g_w gives the same rule with u^-1 for u and the two cases
+    swapped.  Each rule is an identity in Y_{d,n} for every d; at d = 1
+    every E_A is 1, and without ``join`` A stays as it is."""
+    blocks, w = key
+    p = abs(letter) - 1
+    swapped = (blocks, _swap_positions(w, p))
+    if (w[p] < w[p + 1]) == (letter > 0):
+        return ((swapped, 0, 1),)
+    joined = _join(blocks, w[p], w[p + 1]) if join else blocks
+    tied_swapped, tied = (joined, swapped[1]), (joined, w)
+    acc: Counter = Counter({(swapped, 0): 1})
+    for e, c in _U_MINUS_ONE if letter > 0 else _UINV_MINUS_ONE:
+        acc[tied_swapped, e] += c
+        acc[tied, e] -= c
+    return tuple((k, e, c) for (k, e), c in acc.items() if c)
+
+
+def _tie_expansion(d: int, b: BraidWord) -> dict:
+    """The image of a braid in Y_{d,n} as {(A, w): {u-exponent: int}}, terms
+    E_A g_w with integer coefficients: A a set partition of the strands as
+    canonical block labels, and E_A the product of the e_{j,k} over pairs
+    j, k in one block.  It is rewritten letter by letter through
+    ``_word_times_letter``.  For d = 2, g_1^2 = 1 + (u-1) e_1 - (u-1) e_1 g_1:
 
     >>> from .braid import parse_braid
-    >>> one = BasisWord(2, 2, (0, 0), (0, 1))
-    >>> sorted((str(w), e, c) for w, e, c in _word_times_letter(one, -1))
+    >>> sorted(_tie_expansion(2, parse_braid("1 1")).items())
+    [(((0, 0), (0, 1)), {1: 1, 0: -1}), (((0, 0), (1, 0)), {1: -1, 0: 1}), (((0, 1), (0, 1)), {0: 1})]
+    """
+    n = b.strands
+    terms = {(tuple(range(n)), tuple(range(n))): {0: 1}}
+    for letter in b.letters:
+        terms = _right_multiply(terms, _word_times_letter, letter, d > 1)
+    return terms
+
+
+def represent_braid(d: int, b: BraidWord) -> AlgebraElement:
+    """Image of a braid word in Y_{d,n}: each positive letter maps to g_i and
+    each negative letter to g_i^-1.  The braid is rewritten on terms E_A g_w
+    (``_tie_expansion``), and each E_A g_w is d^-(n-|A|) times the sum of
+    t^a g_w over the framings a of ``_block_zero_framings``.  For d = 2,
+    g1^-1 on E_A g_w with A = {1}{2} and w = 1 as ((A', w'), u-exponent,
+    coefficient) triples, and its image on the basis t^a g_w:
+
+    >>> from .braid import parse_braid
+    >>> sorted(_word_times_letter(((0, 1), (0, 1)), -1, True))
     ... # doctest: +NORMALIZE_WHITESPACE
-    [('1', -1, -1), ('1', 0, 1), ('g1', -1, 1), ('g1', 0, 1),
-     ('t1*t2', -1, -1), ('t1*t2', 0, 1), ('t1*t2*g1', -1, 1), ('t1*t2*g1', 0, -1)]
+    [(((0, 0), (0, 1)), -1, -1), (((0, 0), (0, 1)), 0, 1), (((0, 0), (1, 0)), -1, 1),
+     (((0, 0), (1, 0)), 0, -1), (((0, 1), (1, 0)), 0, 1)]
     >>> print(represent_braid(2, parse_braid("-1")))
     (1/2 - 1/2*u^-1) + (1/2 + 1/2*u^-1)*g1 + (1/2 - 1/2*u^-1)*t1*t2 + (-1/2 + 1/2*u^-1)*t1*t2*g1
     >>> represent_braid(2, parse_braid("1 -1")) == AlgebraElement.one(2, 2)
     True
     """
     n = b.strands
-    cur: _Scaled = {_basis_word(d, n, (0,) * n, identity_perm(n)): {0: 1}}
-    for k in b.letters:
-        cur = _right_multiply(cur, _word_times_letter, k)
-    return AlgebraElement.from_ints(d, n, cur, d ** len(b.letters))
+    terms = _tie_expansion(d, b)
+    top = max((n - len(set(blocks)) for blocks, _ in terms), default=0)
+    out: _Scaled = {}
+    for (blocks, w), poly in terms.items():
+        scale = {0: d ** (top - n + len(set(blocks)))}
+        for fr in _block_zero_framings(d, blocks):
+            _add_product(out.setdefault(_basis_word(d, n, fr, w), {}), poly, scale)
+    return AlgebraElement.from_ints(d, n, out, d**top)
 
 
 def embed(a: AlgebraElement, n_new: int) -> AlgebraElement:

@@ -3,12 +3,13 @@ plus naive oracles kept deliberately independent of the library internals."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from yhecke.braid import BraidWord
 from yhecke.exactnum import LaurentU
-from yhecke.yokonuma import AlgebraElement, BasisWord
+from yhecke.yokonuma import AlgebraElement, BasisWord, generator, multiply
 
 
 def random_braid(rng: random.Random, n: int | None = None, n_max: int = 4,
@@ -96,3 +97,42 @@ def oracle_smallest_descent_word(perm: tuple[int, ...]) -> tuple[int, ...]:
         rec.append(i + 1)
         p[i], p[i + 1] = p[i + 1], p[i]
     return tuple(reversed(rec))
+
+
+def tie_element(d: int, blocks: tuple[int, ...], perm: tuple[int, ...]) -> AlgebraElement:
+    """E_A g_w in Y_{d,n} from its definition: the average of t^a g_w over all
+    framings a whose sum on every block of A is 0 mod d."""
+    n = len(perm)
+    kept = [
+        a for a in itertools.product(range(d), repeat=n)
+        if all(sum(a[j] for j in range(n) if blocks[j] == k) % d == 0 for k in set(blocks))
+    ]
+    one = LaurentU.from_scalar(Fraction(1, len(kept)))
+    return AlgebraElement(d, n, {BasisWord(d, n, a, perm): one for a in kept})
+
+
+def tie_keys(n: int) -> list[tuple]:
+    """Every key (A, w) on n strands: A as canonical block labels, w a permutation."""
+    labels = [()]
+    for _ in range(n):
+        labels = [a + (b,) for a in labels for b in range(max(a, default=-1) + 2)]
+    return [(a, w) for a in labels for w in itertools.permutations(range(n))]
+
+
+def letter_image_oracle(d: int, n: int, letter: int) -> AlgebraElement:
+    """g_i for a letter i > 0; for -i, g_i^-1 = u^-1 g_i^2 + g_i - u^-1 from
+    the cubic relation, with g_i^2 a ``multiply`` product."""
+    g = generator(d, n, abs(letter))
+    if letter > 0:
+        return g
+    uinv = LaurentU.u(-1)
+    return multiply(g, g).scale(uinv) + g - AlgebraElement.one(d, n).scale(uinv)
+
+
+def braid_image_oracle(d: int, b: BraidWord) -> AlgebraElement:
+    """The image of a braid in Y_{d,n} as the ``multiply`` product of its
+    letters' images, left to right; no braid rewriting is involved."""
+    acc = AlgebraElement.one(d, b.strands)
+    for letter in b.letters:
+        acc = multiply(acc, letter_image_oracle(d, b.strands, letter))
+    return acc

@@ -237,6 +237,99 @@ def test_bench_tracer_installs_on_the_current_entry_points():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bench_tracer_reports_every_declared_layer_metric():
+    """With the tracer installed, one invariant, one trace and one adelic
+    record through ``cli.main`` give a report that holds every per-layer
+    metric of BENCHMARK.json; the ties letter table is on the braid path."""
+    code = (
+        "import io, json, sys; sys.path.insert(0, 'bench')\n"
+        "from tracing import Tracer\n"
+        "import yhecke.cli as cli\n"
+        "tracer = Tracer(); tracer.install()\n"
+        "records = [\n"
+        "    ['invariant', '--d', '2', '--subset', '0', '--braid', '1 -2 1 -2', '--format', 'json'],\n"
+        "    ['trace', '--d', '3', '--braid', '1 -2 1', '--format', 'json'],\n"
+        "    ['adelic', '--chain', '2,4', '--subset', '0', '--braid', '1 1 1', '--format', 'json'],\n"
+        "]\n"
+        "codes = [cli.main(argv, io.StringIO(), io.StringIO()) for argv in records]\n"
+        "print(json.dumps({'codes': codes, 'report': tracer.report(0)}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [EXIT_OK] * 3
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    missing = [name for name in declared if not isinstance(result["report"].get(name), (int, float))]
+    assert not missing, missing
+    assert result["report"]["yokonuma.word_times_letter.misses"] > 0
+
+
+HUGE_MODULI = ["9999999999", "99999999999999999999", "1000000000000000003"]
+
+
+def run_cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """The command line in a fresh process with 1 GiB of address space,
+    killed after 60 s: a huge modulus must neither allocate for d nor hang."""
+
+    def limit_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run(
+        [sys.executable, "-m", "yhecke.cli", *argv], cwd=ROOT, capture_output=True, text=True, env=env,
+        timeout=60, preexec_fn=limit_memory,
+    )
+
+
+@pytest.mark.parametrize("d", HUGE_MODULI)
+def test_huge_modulus_text_invariant_reads_only_the_subset_size(d):
+    proc = run_cli_process("invariant", "--d", d, "--subset", "0", "--braid", "1")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    code, small, _ = run_cli("invariant", "--d", "2", "--subset", "0", "--braid", "1")
+    assert code == EXIT_OK and proc.stdout == small.replace("mod 2", f"mod {d}")
+
+
+@pytest.mark.parametrize("d", HUGE_MODULI)
+def test_huge_modulus_json_invariant_is_a_precondition_violation(d):
+    proc = run_cli_process("invariant", "--d", d, "--subset", "0", "--braid", "1", "--format", "json")
+    assert (proc.returncode, proc.stdout) == (EXIT_PRECONDITION, "")
+    assert proc.stderr == f"error: modulus d = {d} is above the limit {yhecke.cli.MAX_MODULUS} for this output\n"
+
+
+ABOVE = str(yhecke.cli.MAX_MODULUS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--d", ABOVE, "--braid", "1"),
+        ("trace", "--d", ABOVE, "--braid", "1", "--format", "json"),
+        ("trace", "--d", ABOVE, "--subset", "0", "--braid", "1", "--format", "json"),
+        ("esystem", "--d", ABOVE, "--subset", "0"),
+        ("esystem", "--d", ABOVE, "--enumerate"),
+        ("adelic", "--chain", f"1,{ABOVE}", "--subset", "0", "--braid", "1"),
+        ("adelic", "--chain", f"1,{ABOVE}", "--subset", "0", "--braid", "1", "--format", "json"),
+    ],
+)
+def test_modulus_above_the_limit_is_refused_before_any_work(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.startswith(f"error: modulus d = {ABOVE} is above the limit")
+
+
+def test_modulus_at_the_limit_is_computed():
+    d = str(yhecke.cli.MAX_MODULUS)
+    code, out, err = run_cli("trace", "--d", d, "--subset", "0,1", "--braid", "1 1 1", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    numerator = json.loads(out)["trace"]["numerator"]
+    assert all(len(term["coeff"]) == yhecke.exactnum.euler_phi(yhecke.cli.MAX_MODULUS) for term in numerator)
+    code, out, err = run_cli("trace", "--d", ABOVE, "--subset", "0,1", "--braid", "1 1 1")
+    assert (code, err) == (EXIT_OK, "") and out.startswith(f"tr_{ABOVE}(")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "1+infj"])
 def test_non_finite_evaluation_point_is_a_usage_error(value):
     code, out, err = run_cli(

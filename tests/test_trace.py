@@ -3,14 +3,13 @@ E-condition, and the closed-form values used downstream."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from conftest import random_braid, random_element
+from conftest import random_braid, random_element, tie_element, tie_keys
 import yhecke.esystem
 import yhecke.exactnum
 import yhecke.trace
@@ -25,10 +24,11 @@ from yhecke.exactnum import (
     substitute_x_values,
     trace_poly_substitute,
 )
-from yhecke.trace import _join, _tie_expansion, _trace_polynomial, markov_trace, trace_of_braid
+from yhecke.trace import _trace_polynomial, markov_trace, trace_of_braid
 from yhecke.yokonuma import (
     AlgebraElement,
-    BasisWord,
+    _join,
+    _tie_expansion,
     embed,
     framing_generator,
     generator,
@@ -297,18 +297,6 @@ def test_trace_of_rational_element_is_linear():
 
 # -- braid traces through E_A g_w terms -------------------------------------------
 
-def tie_element(d: int, blocks: tuple[int, ...], perm: tuple[int, ...]) -> AlgebraElement:
-    """E_A g_w in Y_{d,n} from its definition: the average of t^a g_w over all
-    framings a whose sum on every block of A is 0 mod d."""
-    n = len(perm)
-    kept = [
-        a for a in itertools.product(range(d), repeat=n)
-        if all(sum(a[j] for j in range(n) if blocks[j] == k) % d == 0 for k in set(blocks))
-    ]
-    one = LaurentU.from_scalar(Fraction(1, len(kept)))
-    return AlgebraElement(d, n, {BasisWord(d, n, a, perm): one for a in kept})
-
-
 def expansion_element(d: int, b: BraidWord) -> AlgebraElement:
     acc = AlgebraElement.zero(d, b.strands)
     for (blocks, perm), poly in _tie_expansion(d, b).items():
@@ -381,16 +369,22 @@ def test_joined_block_labels_are_canonical():
             blocks = joined
 
 
-def test_braid_traces_stay_off_the_letter_tables():
-    """A braid trace, generic or at a solution, uses none of the Y_{d,n}
-    letter tables: the rewriting is on E_A g_w terms."""
+def test_braid_traces_never_build_the_y_dn_image(monkeypatch):
+    """A braid trace, generic or at a solution, calls none of
+    ``represent_braid``, ``_letter_image`` and ``multiply``: the braid stays
+    on E_A g_w terms, and Y_{d,n} is entered only in tr(E_A g_w)."""
+
+    def forbidden(*args):
+        raise AssertionError("a braid trace built its image in Y_{d,n}")
+
+    for module in (yhecke.yokonuma, yhecke.trace):
+        monkeypatch.setattr(module, "represent_braid", forbidden)
+    monkeypatch.setattr(yhecke.yokonuma, "_letter_image", forbidden)
+    monkeypatch.setattr(yhecke.yokonuma, "multiply", forbidden)
     b = parse_braid("4: 1 -2 3 -1 2 -3 -2")
-    yhecke.yokonuma._word_times_letter.cache_clear()
-    yhecke.yokonuma._letter_image.cache_clear()
-    trace_of_braid(3, b)
-    trace_of_braid(4, b, {0, 2})
-    assert yhecke.yokonuma._word_times_letter.cache_info().currsize == 0
-    assert yhecke.yokonuma._letter_image.cache_info().currsize == 0
+    yhecke.trace._tie_trace.cache_clear()
+    assert not trace_of_braid(3, b).is_zero()
+    assert not trace_of_braid(4, b, {0, 2}).is_zero()
 
 
 def test_tie_trace_cache_is_bounded_and_exact_under_eviction(monkeypatch):
@@ -406,14 +400,6 @@ def test_tie_trace_cache_is_bounded_and_exact_under_eviction(monkeypatch):
             assert trace_of_braid(d, b) == markov_trace(represent_braid(d, b)), (d, b)
             assert small.cache_info().currsize <= 8
     assert small.cache_info().misses > 8
-
-
-def tie_keys(n: int) -> list[tuple]:
-    """Every key (A, w) on n strands: A as canonical block labels, w a permutation."""
-    labels = [()]
-    for _ in range(n):
-        labels = [a + (b,) for a in labels for b in range(max(a, default=-1) + 2)]
-    return [(a, w) for a in labels for w in itertools.permutations(range(n))]
 
 
 def test_tie_trace_by_cycle_classes_equals_the_definition():

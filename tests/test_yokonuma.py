@@ -10,19 +10,25 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from conftest import random_braid, random_element
+from conftest import (
+    braid_image_oracle,
+    letter_image_oracle,
+    random_braid,
+    random_element,
+    tie_element,
+    tie_keys,
+)
 from yhecke.adelic import rho
 from yhecke.braid import BraidWord, parse_braid
 from yhecke.exactnum import LaurentU, laurent_u_minus_one
 from yhecke.yokonuma import (
     AlgebraElement,
     BasisWord,
-    InexactDivisionError,
-    _divide_by_d,
     _word_times_letter,
     canonical_reduced_word,
     compose,
@@ -367,72 +373,73 @@ def test_represent_braid_of_concatenation_is_product(d, n):
 
 @pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3, 4) for n in (2, 3)])
 def test_letter_tables_are_integral_and_match_the_algebra(d, n):
-    """Every d * word * g_i^(+-1) table, over the whole basis, has integer
-    coefficients and equals the product formed in the algebra, with g_i^-1
+    """Every E_A g_w * g_i^(+-1) table of the braids-and-ties rewriting, over
+    every key (A, w), has integer coefficients and, expanded with E_A from
+    its definition, equals the product formed in the algebra, with g_i^-1
     taken from the cubic relation g^-1 = u^-1 g^2 + g - u^-1."""
-    uinv = LaurentU.u(-1)
-    one = AlgebraElement.one(d, n)
-    images = {}
-    for i in range(1, n):
-        g = generator(d, n, i)
-        images[i] = g
-        images[-i] = multiply(g, g).scale(uinv) + g - one.scale(uinv)
-    for framings in itertools.product(range(d), repeat=n):
-        for perm in itertools.permutations(range(n)):
-            word = BasisWord(d, n, framings, perm)
-            for letter, image in images.items():
-                table = _word_times_letter(word, letter)
-                assert all(type(e) is int and type(c) is int and c for _, e, c in table)
-                terms: dict = {}
-                for w, e, c in table:
-                    terms.setdefault(w, {})[e] = c
-                expected = multiply(AlgebraElement.from_word(word), image)
-                assert AlgebraElement.from_ints(d, n, terms, d) == expected
+    images = {k: letter_image_oracle(d, n, k) for i in range(1, n) for k in (i, -i)}
+    for key in tie_keys(n):
+        left = tie_element(d, *key)
+        for letter, image in images.items():
+            table = _word_times_letter(key, letter, d > 1)
+            assert all(type(e) is int and type(c) is int and c for _, e, c in table)
+            got = AlgebraElement.zero(d, n)
+            for key2, e, c in table:
+                got = got + tie_element(d, *key2).scale(LaurentU.from_dict({e: c}))
+            assert got == multiply(left, image), (key, letter)
 
 
-def test_inexact_division_by_d_raises():
-    word = BasisWord(2, 2, (0, 0), (0, 1))
-    assert _divide_by_d({(word, 0): 4, (word, 1): -2}, 2) == ((word, 0, 2), (word, 1, -1))
-    with pytest.raises(InexactDivisionError):
-        _divide_by_d({(word, 0): 4, (word, 1): 3}, 2)
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3, 4) for n in (2, 3, 4)])
+def test_represent_braid_equals_the_product_of_letter_images(d, n):
+    """represent_braid, built from the braids-and-ties rewriting, equals the
+    ``multiply`` product of g_i and g_i^-1 = u^-1 g_i^2 + g_i - u^-1."""
+    rng = random.Random(90 + 5 * d + n)
+    for _ in range(3 if d * n < 16 else 2):
+        b = random_braid(rng, n, len_max=5, min_len=0)
+        assert represent_braid(d, b) == braid_image_oracle(d, b), (d, b)
 
 
-def test_inexact_division_by_d_raises_under_optimize():
-    import yhecke
-
-    src = str(Path(yhecke.__file__).resolve().parents[1])
-    code = (
-        "from yhecke.yokonuma import BasisWord, InexactDivisionError, _divide_by_d\n"
-        "word = BasisWord(3, 2, (0, 0), (0, 1))\n"
-        "try:\n"
-        "    _divide_by_d({(word, 0): 3, (word, 2): 5}, 3)\n"
-        "except InexactDivisionError:\n"
-        "    print(__debug__, 'raised')\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "raised"]
-
-
-def test_inexact_division_is_an_internal_failure_at_the_cli(monkeypatch):
-    import io
-
-    import yhecke.cli as cli
+def test_word_caches_are_bounded_and_exact_under_eviction(monkeypatch):
+    """The reduced-word, basis-word, word-times-g and cyclotomic-polynomial
+    caches are bounded; with a bound of 8 their entries are evicted and
+    recomputed, and every braid image, product, trace and cyclotomic value
+    stays what it was."""
+    import yhecke.exactnum as exactnum
+    import yhecke.trace as trace
     import yhecke.yokonuma as yokonuma
+    from yhecke.exactnum import Cyclotomic
 
-    def inexact(acc, d):
-        raise InexactDivisionError("coefficient 1 is not divisible by d=2")
+    for cache in (yokonuma.canonical_reduced_word, yokonuma._basis_word, yokonuma._word_times_g):
+        assert cache.cache_info().maxsize == yokonuma.WORD_CACHE
+    assert exactnum.cyclotomic_polynomial.cache_info().maxsize is not None
+    rng = random.Random(12)
+    braids = [(d, random_braid(rng, n, len_max=6)) for d in (2, 3) for n in (3, 4) for _ in range(2)]
 
-    yokonuma._word_times_letter.cache_clear()
-    monkeypatch.setattr(yokonuma, "_divide_by_d", inexact)
-    try:
-        out, err = io.StringIO(), io.StringIO()
-        code = cli.main(["verify", "--suite", "adelic-coherence"], out, err)
-    finally:
-        yokonuma._word_times_letter.cache_clear()
-    assert code == cli.EXIT_COHERENCE and out.getvalue() == ""
-    assert err.getvalue().startswith("internal failure: ")
+    def compute():
+        images = [represent_braid(d, b) for d, b in braids]
+        return (
+            images,
+            [multiply(a, a) for a in images],
+            [trace.markov_trace(a) for a in images],
+            [(Cyclotomic.root(m, 1) + Cyclotomic.root(m, 2)) ** 3 for m in range(1, 31)],
+        )
+
+    expected = compute()
+    small = {}
+    for module, name in (
+        (yokonuma, "canonical_reduced_word"),
+        (yokonuma, "_basis_word"),
+        (yokonuma, "_word_times_g"),
+        (exactnum, "cyclotomic_polynomial"),
+        (trace, "_trace_word"),
+    ):
+        small[name] = lru_cache(maxsize=8)(getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, small[name])
+    monkeypatch.setattr(trace, "canonical_reduced_word", small["canonical_reduced_word"])
+    assert compute() == expected
+    for name, cache in small.items():
+        assert cache.cache_info().currsize <= 8, name
+        assert cache.cache_info().misses > 8, name
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 3), (4, 3)])
