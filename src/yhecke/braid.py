@@ -138,6 +138,49 @@ def markov_stabilize(b: BraidWord, sign: int) -> BraidWord:
     return BraidWord(b.strands + 1, b.letters + (sign * b.strands,))
 
 
+def cyclic_reduce(b: BraidWord) -> BraidWord:
+    """Cancel adjacent inverse letters, also across the ends of the word:
+    a conjugate of b on the same strands.
+
+    >>> cyclic_reduce(parse_braid("-2 1 2 -2 1 1 2"))
+    BraidWord(strands=3, letters=(1, 1, 1))
+    """
+    out: list[int] = []
+    for k in b.letters:
+        if out and out[-1] == -k:
+            out.pop()
+        else:
+            out.append(k)
+    i, j = 0, len(out)
+    while j - i > 1 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return BraidWord(b.strands, tuple(out[i:j]))
+
+
+def markov_reduce(b: BraidWord) -> BraidWord:
+    """A braid with the same closure, reduced by Markov moves until none
+    applies: ``cyclic_reduce``, then, when the letter +-(n-1) occurs once,
+    rotate it to the end and drop it with strand n; else the same at strand 1,
+    with the other letters shifted down.
+
+    >>> markov_reduce(parse_braid("1 2 2 2 -1 1"))
+    BraidWord(strands=2, letters=(1, 1, 1))
+    >>> markov_reduce(parse_braid("1 -2"))
+    BraidWord(strands=1, letters=())
+    """
+    while True:
+        b = cyclic_reduce(b)
+        n, letters = b.strands, b.letters
+        for top, shift in ((n - 1, 0), (1, 1)):
+            at = [i for i, k in enumerate(letters) if abs(k) == top]
+            if len(at) == 1:
+                rest = letters[at[0] + 1:] + letters[:at[0]]
+                b = BraidWord(n - 1, tuple(k - shift if k > 0 else k + shift for k in rest))
+                break
+        else:
+            return b
+
+
 def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
     """One-line notation (0-based) of the permutation induced on the strands."""
     p = list(range(b.strands))

@@ -14,7 +14,14 @@ Subcommands
 ``invariant``, ``trace`` and ``adelic`` check their parameters, then share
 one record loop (``_run_records``) over an inline braid or a corpus: it
 reports bad corpus records, prefixes corpus text lines with the record name
-and writes the JSON document.
+and writes the JSON document.  A record computes on a reduced closure of its
+braid, ``markov_reduce`` for ``invariant`` and ``adelic`` and
+``cyclic_reduce`` for ``trace``, and echoes the braid as given.
+
+JSON is written in one pass by ``_json_text``, with the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``.  The term lists of exact
+values, the bulk of every document, are written straight from the terms,
+one template per term.
 
 Results go to stdout, diagnostics (argparse's usage messages included) to
 stderr.  Exit codes: 0 success, 1 parse/validation error or a stdout closed
@@ -29,13 +36,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import os
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .adelic import (
@@ -50,10 +57,12 @@ from .braid import (
     BraidWord,
     CorpusRecordError,
     closure_component_count,
+    cyclic_reduce,
     exponent_sum,
     format_braid,
     iter_corpus,
     markov_conjugate,
+    markov_reduce,
     markov_stabilize,
     parse_braid,
 )
@@ -123,55 +132,85 @@ def _check_modulus(d: int):
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding of exact values: rationals as "p/q" strings, cyclotomic
-# coefficients as arrays in the power basis of zeta_d.  The rational
-# coefficients of invariant bodies keep that array shape: [q, "0", ...],
+# JSON output.  Rationals are "p/q" strings; the rational coefficients of
+# invariant bodies are arrays in the power basis of zeta_d, [q, "0", ...],
 # phi(d) entries long.
 # ---------------------------------------------------------------------------
 
-def _json_fraction(q: Fraction) -> str:
-    return str(q)
+def _json_text(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with string
+    keys, lists, strings, ints, bools, None and finite floats.  ``nl`` is a
+    newline and the indentation of the line obj starts on.  Any other value
+    is a templated fragment, called with ``nl`` for its text.
+
+    >>> import json
+    >>> doc = {"z": [1, -2.5e-07, None, [], {}], "a": {"\u00e9\\n": True, "q": "1/2"}}
+    >>> _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    True
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = ",".join(f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items()))
+        return f"{{{items}{nl}}}" if items else "{}"
+    if isinstance(obj, list):
+        items = ",".join(inner + _json_text(v, inner) for v in obj)
+        return f"[{items}{nl}]" if items else "[]"
+    return obj(nl)
 
 
-def _json_cyclotomic(c: Cyclotomic) -> list[str]:
-    return [_json_fraction(x) for x in c.coeffs]
+@lru_cache(maxsize=16)
+def _zero_padding(d: int, nl: str) -> str:
+    """The phi(d) - 1 ``"0"`` entries after a rational coefficient, one per line at ``nl``."""
+    return f',{nl}"0"' * (euler_phi(d) - 1)
 
 
-def _json_laurent(c: LaurentU) -> list[list]:
-    return [[e, _json_fraction(q)] for e, q in c.terms]
+def _uz_terms(p: PolyUZ, d: int, nl: str) -> str:
+    """The JSON term list of a body polynomial at modulus d."""
+    i1, i2, i3 = (nl + "  " * j for j in (1, 2, 3))
+    zeros = _zero_padding(d, i3)
+    items = ",".join(
+        f'{i1}{{{i2}"coeff": [{i3}"{c}"{zeros}{i2}],{i2}"u": {ue},{i2}"z": {ze}{i1}}}' for (ue, ze), c in p.terms
+    )
+    return f"[{items}{nl}]" if items else "[]"
 
 
-def _json_trace_poly(p: TracePolynomial) -> dict:
-    return {
-        "order": p.order,
-        "terms": [
-            {"z": ze, "x": list(xe), "coeff": _json_laurent(c)}
-            for (ze, xe), c in p.terms
-        ],
-    }
+def _trace_terms(p: TracePolynomial, nl: str) -> str:
+    """The JSON term list of a generic trace: z, x-exponents and the Laurent
+    coefficient as [u-exponent, "p/q"] pairs."""
+    i1, i2, i3, i4 = (nl + "  " * j for j in (1, 2, 3, 4))
+    sep = "," + i3
 
+    def term(ze, xe, c):
+        coeff = sep.join(f'[{i4}{e},{i4}"{q}"{i3}]' for e, q in c.terms)
+        x = f"[{i3}{sep.join(map(str, xe))}{i2}]" if xe else "[]"
+        return f'{i1}{{{i2}"coeff": [{i3}{coeff}{i2}],{i2}"x": {x},{i2}"z": {ze}{i1}}}'
 
-def _json_poly_uz(p: PolyUZ, d: int) -> list[dict]:
-    zeros = ["0"] * (euler_phi(d) - 1)
-    return [
-        {"u": ue, "z": ze, "coeff": [_json_fraction(c), *zeros]} for (ue, ze), c in p.terms
-    ]
+    items = ",".join(term(ze, xe, c) for (ze, xe), c in p.terms)
+    return f"[{items}{nl}]" if items else "[]"
 
 
 def _json_ratfunc(f: RatFunc, d: int) -> dict:
     return {
         "order": d,
-        "numerator": _json_poly_uz(f.num, d),
-        "denominator": _json_poly_uz(f.den, d),
+        "numerator": lambda nl: _uz_terms(f.num, d, nl),
+        "denominator": lambda nl: _uz_terms(f.den, d, nl),
     }
 
 
 def _json_invariant(v: InvariantValue) -> dict:
-    return {
-        "order": v.order,
-        "halfLambda": v.half,
-        "body": _json_ratfunc(v.body, v.order),
-    }
+    return {"order": v.order, "halfLambda": v.half, "body": _json_ratfunc(v.body, v.order)}
 
 
 def _json_complex(x: complex) -> dict:
@@ -296,7 +335,7 @@ def _run_records(args, out, err, record, document: "str | None" = None) -> int:
         payload = results if args.corpus else results[0]
         if document is not None and not args.corpus:
             payload = payload[document]
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        print(_json_text(payload), file=out)
     return EXIT_OK
 
 
@@ -308,7 +347,7 @@ def _cmd_invariant(args, out, err) -> int:
     point = _numeric_point(args)
 
     def record(braid):
-        value = delta_invariant(d, subset, braid)
+        value = delta_invariant(d, subset, markov_reduce(braid))
         approx = {}
         if point is not None:
             dens = (value.body.den, lambda_param(d, subset).den)
@@ -341,14 +380,15 @@ def _cmd_trace(args, out, err) -> int:
         raise PreconditionError("numeric evaluation of a trace requires --subset")
 
     def record(braid):
-        value = trace_of_braid(d, braid, subset)
+        # a trace is invariant under conjugation, not under stabilization
+        value = trace_of_braid(d, cyclic_reduce(braid), subset)
         approx = {}
         if point is not None:
             approx["approx"] = _approx(point, (value.den,), value.eval_complex)
 
         def fields():
             if subset is None:
-                return {"d": d, "trace": _json_trace_poly(value)}
+                return {"d": d, "trace": {"order": value.order, "terms": lambda nl: _trace_terms(value, nl)}}
             return {"d": d, "subset": sorted(subset), "trace": _json_ratfunc(value, d), **approx}
 
         return fields, lambda: [f"tr_{d}({format_braid(braid)}) = {value}", *_approx_lines(point, approx)]
@@ -372,8 +412,8 @@ def _cmd_esystem(args, out, err) -> int:
         entry = {
             "d": d,
             "subset": sorted(subset),
-            "zeta": _json_fraction(zeta_value(sol)),
-            "values": [_json_cyclotomic(v) for v in sol.values],
+            "zeta": str(zeta_value(sol)),
+            "values": [[str(x) for x in v.coeffs] for v in sol.values],
             "verified": True,
         }
         results.append(entry)
@@ -384,7 +424,7 @@ def _cmd_esystem(args, out, err) -> int:
                 file=out,
             )
     if args.format == "json":
-        print(json.dumps(results, indent=2, sort_keys=True), file=out)
+        print(_json_text(results), file=out)
     return EXIT_OK
 
 
@@ -396,7 +436,7 @@ def _cmd_adelic(args, out, err) -> int:
     lifts = [(d, lift_subset(d1, d, subset)) for d in chain.entries]
 
     def record(braid):
-        levels = list(zip(lifts, adelic_delta(chain, subset, braid)))
+        levels = list(zip(lifts, adelic_delta(chain, subset, markov_reduce(braid))))
 
         def fields():
             return {"chain": list(chain.entries), "levels": [

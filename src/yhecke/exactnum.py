@@ -636,7 +636,8 @@ class PolyUZ(ExactArithmetic):
         return PolyUZ(tuple((m, co * c) for m, co in self.terms))
 
     def leading_monomial(self) -> tuple[_UZMono, Fraction]:
-        assert self.terms, "zero polynomial has no leading monomial"
+        # only RatFunc.make calls it, on the cofactor of a denominator it has
+        # checked to be nonzero; max() of no terms would raise ValueError
         return max(self.terms, key=lambda it: (it[0][0] + it[0][1], it[0][1], it[0][0]))
 
     def eval_complex(self, u: complex, z: complex) -> complex:

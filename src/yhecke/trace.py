@@ -90,8 +90,8 @@ def _trace_word(word: BasisWord) -> tuple[int, tuple[tuple[tuple, int, int], ...
     c_inv = tuple(
         j if j < k else (k if j == n - 1 else j + 1) for j in range(n)
     )
+    # u_full fixes the last strand: u_full[n-1] = perm[c_inv[n-1]] = perm[k] = n-1
     u_full = compose(perm, c_inv)
-    assert u_full[n - 1] == n - 1
     x_word = BasisWord(d, n - 1, fr[: n - 1], u_full[: n - 1])
     # y = t_{n-1}^{a_n} g_{n-2} ... g_k, entirely one strand down.
     y_perm = tuple(

@@ -128,7 +128,8 @@ def canonical_reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
         else:
             i += 1
     # Bubble passes with backtracking always pick the smallest descent first.
-    assert all(p[j] == j for j in range(n))
+    # The loop keeps p[:i+1] sorted and ends at i = n-1, so it leaves p sorted:
+    # the identity, for the perm of a BasisWord, which every caller passes.
     return tuple(reversed(word))
 
 

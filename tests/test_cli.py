@@ -11,11 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yhecke.cli
 import yhecke.esystem
 import yhecke.exactnum
-from yhecke.cli import EXIT_COHERENCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
+from yhecke.braid import BraidWord
+from yhecke.cli import EXIT_COHERENCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, _json_text, main
 from yhecke.exactnum import PolyUZ, RatFunc
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -629,3 +631,120 @@ def test_trace_numeric_evaluation_text():
         "tr_1(2: 1 1 1) = z*u^2 - z*u - u^2 + z + u\n"
         "approx at u=(2+0j), z=(3+0j): 7+0j (approximate)\n"
     )
+
+
+# -- the JSON writer and the reduced closures --------------------------------
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\u2028", "\U0001f600", "\u00e9", "1/2"])
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_json_writer_equals_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def assert_written_as_json_dumps(out: str):
+    """A JSON document on stdout has the bytes json.dumps gives its value."""
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("esystem", "--d", "6", "--enumerate"),
+    ("invariant", "--d", "3", "--subset", "0,1", "--braid", "1 1 -2 1 2", "--eval-u", "0.5+1j", "--eval-z", "2"),
+    ("trace", "--d", "3", "--subset", "0", "--braid", "1 -2 1", "--eval-u", "-0.25", "--eval-z", "1e-3"),
+    ("trace", "--d", "3", "--braid", "1 -2 1 -2"),
+    ("trace", "--d", "1", "--braid", "3: 1 -2"),
+    ("invariant", "--d", "7", "--subset", "0,3", "--braid", "1 -2 1 2"),
+    ("adelic", "--chain", "2,6", "--subset", "1", "--braid", "1 1 1"),
+])
+def test_json_documents_are_written_as_json_dumps(argv):
+    code, out, _ = run_cli(*argv, "--format", "json")
+    assert code == EXIT_OK
+    assert_written_as_json_dumps(out)
+
+
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_corpus_json_with_errors_and_non_ascii_names_is_written_as_json_dumps(command, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text('n\u00e4\u00efve \u00e7af\u00e9;1 1 1\nno separator\n"q\\uoted";3: 1 -2\nbad;1 x\n', encoding="utf-8")
+    code, out, err = run_cli(*command, "--corpus", str(corpus), "--format", "json")
+    assert code == EXIT_OK and err.count("\n") == 2
+    assert [entry["name"] for entry in json.loads(out)] == ["n\u00e4\u00efve \u00e7af\u00e9", "?", '"q\\uoted"', "?"]
+    assert_written_as_json_dumps(out)
+
+
+def test_invariant_record_of_a_stabilized_braid_echoes_the_input():
+    """The record traces the reduced closure, 2: 1 1 1, but echoes the word given."""
+    code, out, _ = run_cli("invariant", "--d", "2", "--subset", "0,1", "--braid", "4: 1 2 -2 1 3 1 2", "--format", "json")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert (record["braid"], record["components"], record["exponentSum"]) == ("4: 1 2 -2 1 3 1 2", 1, 5)
+    _, reduced, _ = run_cli("invariant", "--d", "2", "--subset", "0,1", "--braid", "1 1 1", "--format", "json")
+    assert record["invariant"] == json.loads(reduced)["invariant"]
+
+
+@pytest.mark.parametrize("command,name,traced", [
+    (("invariant", "--d", "2", "--subset", "0"), "delta_invariant", "3: 1 1 1"),
+    (("adelic", "--chain", "2,4", "--subset", "0"), "adelic_delta", "3: 1 1 1"),
+    (("trace", "--d", "2"), "trace_of_braid", "4: 1 1 1 3"),
+    (("trace", "--d", "2", "--subset", "0"), "trace_of_braid", "4: 1 1 1 3"),
+])
+def test_records_trace_the_reduced_closure(monkeypatch, command, name, traced):
+    """Invariant records trace the Markov-reduced closure and trace records
+    the cyclically reduced word; the text line shows the braid as given."""
+    seen = []
+    real = getattr(yhecke.cli, name)
+
+    def spy(*args):
+        seen.append(next(str(a) for a in args if isinstance(a, BraidWord)))
+        return real(*args)
+
+    monkeypatch.setattr(yhecke.cli, name, spy)
+    code, out, _ = run_cli(*command, "--braid", "4: 2 1 1 1 3 -2")
+    assert code == EXIT_OK and seen == [traced]
+    assert "(4: 2 1 1 1 3 -2)" in out
+
+
+def test_verify_markov_traces_the_unreduced_words(monkeypatch):
+    """The suite compares a braid with its conjugate and stabilization as
+    written; reducing them first would make it test nothing."""
+    seen: list[BraidWord] = []
+
+    def recording(d, subset, b):
+        seen.append(b)
+        return real(d, subset, b)
+
+    real = yhecke.cli.delta_invariant
+    monkeypatch.setattr(yhecke.cli, "delta_invariant", recording)
+    code, out, _ = run_cli("verify", "--suite", "markov", "--seed", "3")
+    assert code == EXIT_OK and "suite markov: PASS" in out
+    assert len(seen) == 45
+    for base, conj, stab in zip(seen[::3], seen[1::3], seen[2::3]):
+        assert stab.strands == base.strands + 1 and stab.letters[:-1] == base.letters
+        assert abs(stab.letters[-1]) == base.strands
+        w = len(conj.letters) - len(base.letters)
+        assert conj.strands == base.strands and w % 2 == 0
+        assert conj.letters[w // 2:w // 2 + len(base.letters)] == base.letters
+
+
+def test_program_has_no_assert_statements():
+    """python -O strips assert, so no check in the program may be one."""
+    import ast
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "yhecke").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -7,7 +7,7 @@ import importlib
 
 import pytest
 
-MODULES = ["braid", "yokonuma", "trace", "exactnum", "esystem", "invariant", "adelic"]
+MODULES = ["braid", "cli", "yokonuma", "trace", "exactnum", "esystem", "invariant", "adelic"]
 
 
 @pytest.mark.parametrize("name", MODULES)

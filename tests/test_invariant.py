@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_braid, random_conjugator
-from yhecke.braid import BraidWord, markov_conjugate, markov_stabilize, parse_braid
+from yhecke.braid import BraidWord, cyclic_reduce, markov_conjugate, markov_reduce, markov_stabilize, parse_braid
 import yhecke.trace
 from yhecke.braid import exponent_sum
 from yhecke.esystem import reduce_subset
@@ -359,3 +359,53 @@ def test_zero_trace_gives_the_zero_body(monkeypatch):
     for fold in (-2, 0, 3):
         assert solution_value(2, parse_braid("1 1"), fold, 1) == zero
     assert delta_invariant(2, {0}, parse_braid("1 1")) == InvariantValue(2, 0, zero)
+
+
+def seeded_presentations(seed: int, count: int) -> list[BraidWord]:
+    """Braids on at most 5 strands, many of them conjugated, stabilized at
+    either end or padded with a cancelling pair, so that the reductions act."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        b = random_braid(rng, n_max=4, len_max=5, min_len=0)
+        if rng.random() < 0.5:
+            b = markov_conjugate(b, random_conjugator(rng, b.strands, len_max=2))
+        if b.strands < 5 and rng.random() < 0.6:
+            sign = rng.choice((1, -1))
+            if rng.random() < 0.5:
+                b = markov_stabilize(b, sign)
+            else:  # a new first strand
+                b = BraidWord(b.strands + 1, (sign,) + tuple(k + 1 if k > 0 else k - 1 for k in b.letters))
+        if rng.random() < 0.3:
+            k, i = rng.choice((1, -1)) * rng.randint(1, b.strands - 1), rng.randint(0, len(b.letters))
+            b = BraidWord(b.strands, b.letters[:i] + (k, -k) + b.letters[i:])
+        out.append(b)
+    return out
+
+
+def test_markov_reduced_closure_has_the_same_invariant():
+    """The reduction the invariant and adelic records trace: same value at
+    k = |S| = 1..4, idempotent, and acting on most of the seeded words."""
+    changed = 0
+    for j, b in enumerate(seeded_presentations(44, 200)):
+        reduced = markov_reduce(b)
+        assert markov_reduce(reduced) == reduced, b
+        assert reduced.strands <= b.strands and len(reduced.letters) <= len(b.letters)
+        changed += reduced != b
+        k = 1 + j % 4
+        assert delta_invariant(k, range(k), reduced) == delta_invariant(k, range(k), b), (k, b)
+    assert changed >= 100
+
+
+def test_cyclic_reduction_keeps_strands_and_traces():
+    """The reduction the trace records take: same strands, idempotent, and the
+    same generic and substituted traces at d <= 3."""
+    changed = 0
+    for j, b in enumerate(seeded_presentations(45, 120)):
+        reduced = cyclic_reduce(b)
+        assert reduced.strands == b.strands and cyclic_reduce(reduced) == reduced, b
+        changed += reduced != b
+        d = 1 + j % 3
+        assert trace_of_braid(d, reduced) == trace_of_braid(d, b), (d, b)
+        assert trace_of_braid(d, reduced, range(d)) == trace_of_braid(d, b, range(d)), (d, b)
+    assert changed >= 40
