@@ -23,7 +23,7 @@ from .esystem import lift_subset
 from .exactnum import LaurentU, TracePolynomial
 from .invariant import InvariantValue, delta_invariant
 from .trace import markov_trace
-from .yokonuma import AlgebraElement, BasisWord, represent_braid
+from .yokonuma import AlgebraElement, represent_braid
 
 
 class DivisibilityError(ValueError):
@@ -108,9 +108,9 @@ def rho(d: int, d_prime: int, a: AlgebraElement) -> AlgebraElement:
     _check_divides(d, d_prime)
     if a.d != d_prime:
         raise ValueError(f"element lives in Y_({a.d},{a.n}), expected modulus {d_prime}")
-    out: dict[BasisWord, dict[int, int]] = {}
-    for w, poly in a.int_terms.items():
-        dst = out.setdefault(BasisWord(d, a.n, tuple(f % d for f in w.framings), w.perm), {})
+    out: dict[tuple, dict[int, int]] = {}
+    for (fr, perm), poly in a.int_terms.items():
+        dst = out.setdefault((tuple(f % d for f in fr), perm), {})
         for e, c in poly.items():
             dst[e] = dst.get(e, 0) + c
     return AlgebraElement.from_ints(d, a.n, out, a.den)

@@ -13,8 +13,9 @@ Evaluation works basis word by basis word, reducing the strand count:
   t_{n-1}), and use cyclicity: tr(x g_{n-1} y) = z tr(y x) with x, y one
   strand down.
 
-Word traces are cached as integer triples over a power of d, the integer form of
-``yokonuma``; ``markov_trace`` builds ``LaurentU`` coefficients only for its result.
+Word traces are cached per (d, (framings, perm)), the key of ``yokonuma``'s
+integer kernel, as integer triples over a power of d; ``markov_trace`` builds
+``LaurentU`` coefficients only for its result.
 
 A braid needs nothing of the framings beyond the products E_A of the e_i,
 so ``trace_of_braid`` does not expand it on the words t^a g_w.  It rewrites the braid
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .braid import BraidWord
 # trace_poly_substitute and represent_braid stay bound here, where
@@ -48,7 +49,6 @@ from .esystem import reduce_subset
 from .exactnum import LaurentU, PolyUZ, RatFunc, TracePolynomial, _linear_power, _monomial_shift, trace_poly_substitute
 from .yokonuma import (
     AlgebraElement,
-    BasisWord,
     _block_zero_framings,
     _tie_expansion,
     _times_word,
@@ -72,17 +72,16 @@ TRACE_WORD_CACHE = 8192
 
 
 @lru_cache(maxsize=TRACE_WORD_CACHE)
-def _trace_word(word: BasisWord) -> tuple[int, tuple[tuple[tuple, int, int], ...]]:
-    """tr(word) as (den, triples): tr(word) = (1/den) * sum c u^e mono over
-    its (mono, e, c) triples, den the least power of d that makes them
-    integers."""
-    d, n = word.d, word.n
-    fr, perm = word.framings, word.perm
+def _trace_word(d: int, key: tuple) -> tuple[int, tuple[tuple[tuple, int, int], ...]]:
+    """tr(word) in Y_{d,n} for the word keyed (framings, perm), as (den,
+    triples): tr(word) = (1/den) * sum c u^e mono over its (mono, e, c)
+    triples, den the least power of d that makes them integers."""
+    fr, perm = key
+    n = len(perm)
     if n == 1:
         return 1, ((_times_x((0, (0,) * (d - 1)), d, fr[0]), 0, 1),)
     if perm[n - 1] == n - 1:
-        sub = BasisWord(d, n - 1, fr[: n - 1], perm[: n - 1])
-        den, triples = _trace_word(sub)
+        den, triples = _trace_word(d, (fr[: n - 1], perm[: n - 1]))
         return den, tuple((_times_x(mono, d, fr[n - 1]), e, c) for mono, e, c in triples)
     # perm moves the last strand: perm = u . c_k with u fixing it and
     # c_k the cycle sending k to the last position (0-based k).
@@ -92,17 +91,17 @@ def _trace_word(word: BasisWord) -> tuple[int, tuple[tuple[tuple, int, int], ...
     )
     # u_full fixes the last strand: u_full[n-1] = perm[c_inv[n-1]] = perm[k] = n-1
     u_full = compose(perm, c_inv)
-    x_word = BasisWord(d, n - 1, fr[: n - 1], u_full[: n - 1])
+    x_key = (fr[: n - 1], u_full[: n - 1])
     # y = t_{n-1}^{a_n} g_{n-2} ... g_k, entirely one strand down.
     y_perm = tuple(
         j if j < k else (n - 2 if j == k else j - 1) for j in range(n - 1)
     )
     y_fr = [0] * (n - 1)
     y_fr[n - 2] = fr[n - 1]
-    y_word = BasisWord(d, n - 1, tuple(y_fr), y_perm)
+    y_key = (tuple(y_fr), y_perm)
     # tr(x g_{n-1} y) = z tr(y x)
-    den, acc = _trace_terms(_times_word({y_word: {0: 1}}, x_word))
-    den *= d ** len(canonical_reduced_word(x_word.perm))
+    den, acc = _trace_terms(d, _times_word({y_key: {0: 1}}, x_key, d), _trace_word)
+    den *= d ** len(canonical_reduced_word(x_key[1]))
     return _lowest_terms(d, den, [((ze + 1, xe), e, c) for (ze, xe), poly in acc.items() for e, c in poly.items() if c])
 
 
@@ -114,12 +113,11 @@ def _lowest_terms(d: int, den: int, triples: list) -> tuple[int, tuple]:
     return den, tuple(triples)
 
 
-def _trace_terms(terms: dict, trace=None) -> tuple[int, dict[tuple, dict[int, int]]]:
+def _trace_terms(d: int, terms: dict, trace) -> tuple[int, dict[tuple, dict[int, int]]]:
     """The trace of integer terms {key: {u-exponent: int}} as (den, {mono:
-    {u-exponent: int}}); ``trace`` gives each key's trace as (den, triples)
-    and defaults to ``_trace_word`` as bound at the call."""
-    trace = trace or _trace_word
-    traces = [(poly, trace(w)) for w, poly in terms.items()]
+    {u-exponent: int}}); ``trace(d, key)`` gives each key's trace as (den,
+    triples)."""
+    traces = [(poly, trace(d, w)) for w, poly in terms.items()]
     den = max((t[0] for _, t in traces), default=1)
     acc: dict[tuple, dict[int, int]] = {}
     for poly, (word_den, triples) in traces:
@@ -144,7 +142,7 @@ def markov_trace(a: AlgebraElement) -> TracePolynomial:
     >>> str(markov_trace(generator(3, 2, 1)))
     'z'
     """
-    trace_den, acc = _trace_terms(a.int_terms)
+    trace_den, acc = _trace_terms(a.d, a.int_terms, _trace_word)
     return _trace_polynomial(a.d, a.den * trace_den, acc)
 
 
@@ -175,7 +173,7 @@ def _tie_trace(d: int, key: tuple) -> tuple[int, tuple]:
             i = perm[i]
         first.append(j if i == j else first[i])
     counts = Counter(_block_zero_framings(d, blocks, first))
-    den, acc = _trace_terms({BasisWord(d, n, fr, perm): {0: c} for fr, c in counts.items()})
+    den, acc = _trace_terms(d, {(fr, perm): {0: c} for fr, c in counts.items()}, _trace_word)
     return _lowest_terms(d, den * d ** (n - len(set(blocks))), [(mono, e, c) for mono, poly in acc.items() for e, c in poly.items() if c])
 
 
@@ -188,7 +186,7 @@ def trace_of_braid(d: int, b: BraidWord, subset=None) -> "TracePolynomial | RatF
     ``markov_trace(represent_braid(d, b))`` with ``trace_poly_substitute``."""
     if subset is not None:
         return solution_value(len(reduce_subset(d, subset)), b)
-    return _trace_polynomial(d, *_trace_terms(_tie_expansion(d, b), partial(_tie_trace, d)))
+    return _trace_polynomial(d, *_trace_terms(d, _tie_expansion(d, b), _tie_trace))
 
 
 def solution_value(k: int, b: BraidWord, fold: int = 0, z_power: int = 0) -> RatFunc:
@@ -200,7 +198,7 @@ def solution_value(k: int, b: BraidWord, fold: int = 0, z_power: int = 0) -> Rat
     L = z - (1-u)/k, so the denominator is the monic u^a z^b L^c of
     ``RatFunc.make``'s canonical form.
     """
-    den, acc = _trace_terms(_tie_expansion(k, b), partial(_tie_trace, k))
+    den, acc = _trace_terms(k, _tie_expansion(k, b), _tie_trace)
     num = {(e, ze): c for (ze, xe), poly in acc.items() if not any(xe) for e, c in poly.items() if c}
     if not num:
         return RatFunc(PolyUZ.zero(), PolyUZ.one())

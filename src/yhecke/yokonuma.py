@@ -30,14 +30,17 @@ Integer kernel
 --------------
 The only denominators are the powers of d that e_i brings in.  So
 products are formed over the integers: a product in progress is a map
-{basis word: {u-exponent: int}} read over a tracked denominator, and the
-cached table ``_word_times_g`` holds d * word * g_i as (word, u-exponent,
-int) triples.  ``AlgebraElement`` stores this form itself, in lowest terms,
-so ``multiply``, ``represent_braid`` and ``trace.markov_trace`` pass it on
-without conversion; ``LaurentU`` appears only in the rational API.  A braid
-is rewritten on terms E_A g_w of the algebra of braids and ties, whose rules
-have integer coefficients and do not depend on d (``_tie_expansion``); so
-no division is left, and ``represent_braid`` expands the E_A g_w on t^a g_w.
+{(framings, perm): {u-exponent: int}} read over a tracked denominator, with
+d passed beside it, and the cached table ``_word_times_g`` holds
+d * word * g_i as (key, u-exponent, int) triples.  ``AlgebraElement``
+stores this form itself, in lowest terms, so ``multiply``,
+``represent_braid`` and ``trace.markov_trace`` pass it on without
+conversion; ``BasisWord`` and ``LaurentU`` appear only in the public API,
+which validates the one and reads coefficients as the other.  A braid is
+rewritten on terms E_A g_w of the algebra of braids and ties, keyed
+(A, w) the same way, whose rules have integer coefficients and do not
+depend on d (``_tie_expansion``); so no division is left, and
+``represent_braid`` expands the E_A g_w on t^a g_w.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def _swap_positions(p: tuple[int, ...], pos: int) -> tuple[int, ...]:
     return tuple(q)
 
 
-# Entries of each of the reduced-word, basis-word and word-times-g caches:
+# Entries of each of the reduced-word and word-times-g caches:
 # bounded so that a long corpus keeps memory flat.  Over 100 times what any
 # benchmark workload keeps, and about 4 times what a 6-strand link at
 # |S| = 4 keeps.
@@ -129,7 +132,7 @@ def canonical_reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
             i += 1
     # Bubble passes with backtracking always pick the smallest descent first.
     # The loop keeps p[:i+1] sorted and ends at i = n-1, so it leaves p sorted:
-    # the identity, for the perm of a BasisWord, which every caller passes.
+    # the identity, for the permutation of a basis word, which every caller passes.
     return tuple(reversed(word))
 
 
@@ -137,9 +140,10 @@ def canonical_reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
 # Basis words and algebra elements.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BasisWord:
-    """Canonical basis word t^a g_w of Y_{d,n}: framings on the left of g_w."""
+    """Canonical basis word t^a g_w of Y_{d,n}: framings on the left of g_w.
+    The validated public form of a kernel key (framings, perm)."""
 
     d: int
     n: int
@@ -153,24 +157,6 @@ class BasisWord:
             raise ValueError(f"framings {self.framings} are not {self.n} residues mod {self.d}")
         if len(self.perm) != self.n or not is_permutation(self.perm):
             raise ValueError(f"{self.perm} is not a permutation of {self.n} strands")
-        # words are dict keys in every hot loop; cache the hash once
-        object.__setattr__(
-            self, "_hash", hash((self.d, self.n, self.framings, self.perm))
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, BasisWord):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.d == other.d
-            and self.n == other.n
-            and self.framings == other.framings
-            and self.perm == other.perm
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self) -> str:
         factors = []
@@ -181,16 +167,8 @@ class BasisWord:
         return "*".join(factors) if factors else "1"
 
 
-# One instance per basis word in the kernel's tables, so that its dict
-# lookups match keys by identity instead of calling BasisWord.__eq__.
-_basis_word = lru_cache(maxsize=WORD_CACHE)(BasisWord)
-
-# Integer-kernel terms: {word: {u-exponent: int}}, read over a denominator.
+# Integer-kernel terms: {(framings, perm): {u-exponent: int}}, read over a denominator.
 _Scaled = dict
-
-
-def _sort_key(word: BasisWord):
-    return (word.framings, word.perm)
 
 
 def _int_form(lus: Mapping) -> tuple[dict, int]:
@@ -199,22 +177,28 @@ def _int_form(lus: Mapping) -> tuple[dict, int]:
     return {k: {e: c.numerator * (den // c.denominator) for e, c in lu.terms} for k, lu in lus.items()}, den
 
 
+@dataclass(init=False, repr=False)
 class AlgebraElement(ExactArithmetic):
     """A finite linear combination of basis words over Q[u, u^-1], stored in
     the integer kernel's form (1/den) * sum c u^e w over ``int_terms``
-    {word: {u-exponent: int}}.  The form is canonical, so equality is
-    structural: no zero coefficient is stored and den > 0 is coprime to the
-    coefficients (zero is {} over 1).  ``terms`` is the rational view
-    {word: LaurentU}, built when read.  No method mutates an element.
+    {(framings, perm): {u-exponent: int}}.  The form is canonical, so
+    equality is structural, field by field: no zero coefficient is stored
+    and den > 0 is coprime to the coefficients (zero is {} over 1).
+    ``terms`` is the rational view {BasisWord: LaurentU}, built when read.
+    No method mutates an element.
     """
 
     __slots__ = ("d", "n", "int_terms", "den")
+    d: int
+    n: int
+    int_terms: _Scaled
+    den: int
 
     def __init__(self, d: int, n: int, terms: Mapping[BasisWord, LaurentU]):
         for w in terms:
             if (w.d, w.n) != (d, n):
                 raise ValueError(f"basis word {w} of Y_({w.d},{w.n}) in an element of Y_({d},{n})")
-        self._store(d, n, *_int_form(terms))
+        self._store(d, n, *_int_form({(w.framings, w.perm): lu for w, lu in terms.items()}))
 
     def _store(self, d: int, n: int, terms: _Scaled, den: int):
         g = math.gcd(den, *(c for poly in terms.values() for c in poly.values()))
@@ -236,7 +220,7 @@ class AlgebraElement(ExactArithmetic):
 
     @staticmethod
     def one(d: int, n: int) -> AlgebraElement:
-        return AlgebraElement.from_ints(d, n, {BasisWord(d, n, (0,) * n, identity_perm(n)): {0: 1}}, 1)
+        return AlgebraElement.from_word(BasisWord(d, n, (0,) * n, identity_perm(n)))
 
     @staticmethod
     def from_word(word: BasisWord, coeff: Scalar | LaurentU = 1) -> AlgebraElement:
@@ -245,7 +229,7 @@ class AlgebraElement(ExactArithmetic):
 
     @property
     def terms(self) -> dict[BasisWord, LaurentU]:
-        return {w: LaurentU.from_ints(poly, self.den) for w, poly in self.int_terms.items()}
+        return {BasisWord(self.d, self.n, *k): LaurentU.from_ints(poly, self.den) for k, poly in self.int_terms.items()}
 
     # -- structure -----------------------------------------------------------
 
@@ -263,11 +247,6 @@ class AlgebraElement(ExactArithmetic):
             return None
         self._check_compatible(other)
         return other
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (self.d, self.n, self.den, self.int_terms) == (other.d, other.n, other.den, other.int_terms)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -309,11 +288,11 @@ class AlgebraElement(ExactArithmetic):
         return AlgebraElement.from_ints(self.d, self.n, out, self.den * den)
 
     def __str__(self) -> str:
-        terms = self.terms
-        if not terms:
-            return "0"
-        words = sorted(terms, key=_sort_key)
-        return " + ".join(terms[w].str_times("" if str(w) == "1" else str(w)) for w in words)
+        parts = []
+        for key, poly in sorted(self.int_terms.items()):
+            w = str(BasisWord(self.d, self.n, *key))
+            parts.append(LaurentU.from_ints(poly, self.den).str_times("" if w == "1" else w))
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"<Y_({self.d},{self.n}) element: {self}>"
@@ -338,28 +317,27 @@ def _shift_framings(fr: tuple[int, ...], perm: tuple[int, ...],
     return tuple(out)
 
 
-def _framing_shifts(word: BasisWord, i: int) -> list[BasisWord]:
-    """The words word * t_i^m t_{i+1}^-m for m in 0..d-1; d * word * e_i is
-    their sum."""
-    d, n = word.d, word.n
+def _framing_shifts(d: int, key: tuple, i: int) -> list[tuple]:
+    """The keys of word * t_i^m t_{i+1}^-m for m in 0..d-1, where key is the
+    word's (framings, perm); d * word * e_i is their sum."""
+    fr, perm = key
     out = []
     for m in range(d):
-        add = [0] * n
+        add = [0] * len(perm)
         add[i - 1] = m
         add[i] = (-m) % d
-        out.append(_basis_word(d, n, _shift_framings(word.framings, word.perm, tuple(add), d), word.perm))
+        out.append((_shift_framings(fr, perm, tuple(add), d), perm))
     return out
 
 
 @lru_cache(maxsize=WORD_CACHE)
-def _word_times_g(word: BasisWord, i: int) -> tuple[tuple[BasisWord, int, int], ...]:
-    """Right multiplication of a basis word by g_i (1-based), rewritten into
-    canonical basis words: d * word * g_i as (word, u-exponent, int) triples.
-    Cached: products recur constantly."""
-    d, n = word.d, word.n
+def _word_times_g(key: tuple, i: int, d: int) -> tuple[tuple[tuple, int, int], ...]:
+    """Right multiplication of the basis word keyed (framings, perm) by g_i
+    (1-based), rewritten into canonical basis words: d * word * g_i as
+    (key, u-exponent, int) triples.  Cached: products recur constantly."""
+    fr, v = key
     p = i - 1
-    v = word.perm
-    swapped = _basis_word(d, n, word.framings, _swap_positions(v, p))
+    swapped = (fr, _swap_positions(v, p))
     if v[p] < v[p + 1]:
         # length increases: t^a g_v g_i = t^a g_{v s_i}
         return ((swapped, 0, d),)
@@ -368,8 +346,8 @@ def _word_times_g(word: BasisWord, i: int) -> tuple[tuple[BasisWord, int, int], 
     # shift t^b g_{v'} of g_{v'} e_i gives t^b g_{v'} g_i = t^b g_v
     acc: Counter = Counter()
     acc[swapped, 0] += d
-    for shifted in _framing_shifts(swapped, i):
-        longer = _basis_word(d, n, shifted.framings, v)
+    for shifted in _framing_shifts(d, swapped, i):
+        longer = (shifted[0], v)
         for e, c in _U_MINUS_ONE:
             acc[shifted, e] += c
             acc[longer, e] -= c
@@ -406,16 +384,14 @@ def _add_product(dst: dict[int, int], p: dict[int, int], q: dict[int, int], scal
             dst[k] = dst.get(k, 0) + c * c2 * scale
 
 
-def _times_word(terms: _Scaled, word: BasisWord) -> _Scaled:
-    """terms * word, scaled by d^l where l is the length of word's permutation:
-    first absorb the t-monomial, then the g-word letter by letter."""
-    d, n = word.d, word.n
-    cur = {
-        _basis_word(d, n, _shift_framings(w.framings, w.perm, word.framings, d), w.perm): poly
-        for w, poly in terms.items()
-    }
-    for i in canonical_reduced_word(word.perm):
-        cur = _right_multiply(cur, _word_times_g, i)
+def _times_word(terms: _Scaled, key: tuple, d: int) -> _Scaled:
+    """terms * word in Y_{d,n} for the word keyed (framings, perm), scaled by
+    d^l where l is the length of perm: first absorb the t-monomial, then the
+    g-word letter by letter."""
+    add, perm = key
+    cur = {(_shift_framings(fr, w, add, d), w): poly for (fr, w), poly in terms.items()}
+    for i in canonical_reduced_word(perm):
+        cur = _right_multiply(cur, _word_times_g, i, d)
     return cur
 
 
@@ -424,11 +400,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_compatible(b)
     d, n = a.d, a.n
     right = b.int_terms
-    top = max((len(canonical_reduced_word(w.perm)) for w in right), default=0)
+    top = max((len(canonical_reduced_word(perm)) for _, perm in right), default=0)
     out: _Scaled = {}
     for w2, poly2 in right.items():
-        scale = d ** (top - len(canonical_reduced_word(w2.perm)))
-        for w, poly in _times_word(a.int_terms, w2).items():
+        scale = d ** (top - len(canonical_reduced_word(w2[1])))
+        for w, poly in _times_word(a.int_terms, w2, d).items():
             _add_product(out.setdefault(w, {}), poly, poly2, scale)
     return AlgebraElement.from_ints(d, n, out, a.den * b.den * d**top)
 
@@ -463,7 +439,7 @@ def idempotent_e(d: int, n: int, i: int) -> AlgebraElement:
     """The idempotent e_i = (1/d) sum_{m} t_i^m t_{i+1}^{-m}."""
     _check_gen_index(n, i)
     one = BasisWord(d, n, (0,) * n, identity_perm(n))
-    return AlgebraElement.from_ints(d, n, {w: {0: 1} for w in _framing_shifts(one, i)}, d)
+    return AlgebraElement.from_ints(d, n, {w: {0: 1} for w in _framing_shifts(d, (one.framings, one.perm), i)}, d)
 
 
 def generator_inverse(d: int, n: int, i: int) -> AlgebraElement:
@@ -613,7 +589,7 @@ def represent_braid(d: int, b: BraidWord) -> AlgebraElement:
     for (blocks, w), poly in terms.items():
         scale = {0: d ** (top - n + len(set(blocks)))}
         for fr in _block_zero_framings(d, blocks):
-            _add_product(out.setdefault(_basis_word(d, n, fr, w), {}), poly, scale)
+            _add_product(out.setdefault((fr, w), {}), poly, scale)
     return AlgebraElement.from_ints(d, n, out, d**top)
 
 
@@ -622,13 +598,5 @@ def embed(a: AlgebraElement, n_new: int) -> AlgebraElement:
     if n_new < a.n:
         raise ValueError(f"cannot embed Y_(d,{a.n}) into the smaller Y_(d,{n_new})")
     pad = n_new - a.n
-    terms = {
-        BasisWord(
-            a.d,
-            n_new,
-            w.framings + (0,) * pad,
-            w.perm + tuple(range(a.n, n_new)),
-        ): poly
-        for w, poly in a.int_terms.items()
-    }
+    terms = {(fr + (0,) * pad, perm + tuple(range(a.n, n_new))): poly for (fr, perm), poly in a.int_terms.items()}
     return AlgebraElement.from_ints(a.d, n_new, terms, a.den)

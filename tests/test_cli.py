@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,7 @@ def test_huge_modulus_json_invariant_is_a_precondition_violation(d):
 
 
 ABOVE = str(yhecke.cli.MAX_MODULUS + 1)
+ENUMERATE_ABOVE = str(yhecke.cli.MAX_ENUMERATE + 1)
 
 
 @pytest.mark.parametrize(
@@ -314,12 +316,19 @@ ABOVE = str(yhecke.cli.MAX_MODULUS + 1)
         ("esystem", "--d", ABOVE, "--enumerate"),
         ("adelic", "--chain", f"1,{ABOVE}", "--subset", "0", "--braid", "1"),
         ("adelic", "--chain", f"1,{ABOVE}", "--subset", "0", "--braid", "1", "--format", "json"),
+        ("esystem", "--d", ENUMERATE_ABOVE, "--enumerate"),
     ],
 )
-def test_modulus_above_the_limit_is_refused_before_any_work(argv):
+def test_modulus_above_the_limit_is_refused_before_any_work(argv, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started above the limit")
+
+    for name in ("enumerate_subsets", "solution_from_subset", "trace_of_braid", "adelic_delta"):
+        monkeypatch.setattr(yhecke.cli, name, no_work)
     code, out, err = run_cli(*argv)
     assert (code, out) == (EXIT_PRECONDITION, "")
-    assert err.startswith(f"error: modulus d = {ABOVE} is above the limit")
+    d = ABOVE if ABOVE in " ".join(argv) else ENUMERATE_ABOVE
+    assert err.startswith(f"error: modulus d = {d} is above the limit")
 
 
 def test_modulus_at_the_limit_is_computed():
@@ -358,6 +367,26 @@ def test_non_finite_evaluation_result_is_a_precondition_violation():
     )
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["--braid", "--corpus"])
+@pytest.mark.parametrize(
+    "argv,braid",
+    [(("trace", "--d", "2"), "99999999999999999999: 1"), (("invariant", "--d", "2", "--subset", "0"), "50000: 1")],
+)
+def test_braid_above_the_strand_limit_is_refused_before_any_work(argv, braid, source, tmp_path):
+    """Without the limit, the first ended in an OverflowError traceback and
+    the second took 15 s of CPU before it was found too deep to trace."""
+    value = braid
+    if source == "--corpus":
+        value = str(tmp_path / "corpus.txt")
+        Path(value).write_text(f"big;{braid}\n", encoding="utf-8")
+    start = time.process_time()
+    code, out, err = run_cli(*argv, source, value)
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    strands = braid.split(":")[0]
+    assert err == f"error: a braid on {strands} strands is above the limit {yhecke.cli.MAX_STRANDS} of the trace\n"
 
 
 def test_braid_too_deep_to_trace_is_a_precondition_violation():

@@ -400,8 +400,8 @@ def test_represent_braid_equals_the_product_of_letter_images(d, n):
 
 
 def test_word_caches_are_bounded_and_exact_under_eviction(monkeypatch):
-    """The reduced-word, basis-word, word-times-g and cyclotomic-polynomial
-    caches are bounded; with a bound of 8 their entries are evicted and
+    """The reduced-word, word-times-g and cyclotomic-polynomial caches are
+    bounded; with a bound of 8 their entries are evicted and
     recomputed, and every braid image, product, trace and cyclotomic value
     stays what it was."""
     import yhecke.exactnum as exactnum
@@ -409,7 +409,7 @@ def test_word_caches_are_bounded_and_exact_under_eviction(monkeypatch):
     import yhecke.yokonuma as yokonuma
     from yhecke.exactnum import Cyclotomic
 
-    for cache in (yokonuma.canonical_reduced_word, yokonuma._basis_word, yokonuma._word_times_g):
+    for cache in (yokonuma.canonical_reduced_word, yokonuma._word_times_g):
         assert cache.cache_info().maxsize == yokonuma.WORD_CACHE
     assert exactnum.cyclotomic_polynomial.cache_info().maxsize is not None
     rng = random.Random(12)
@@ -428,7 +428,6 @@ def test_word_caches_are_bounded_and_exact_under_eviction(monkeypatch):
     small = {}
     for module, name in (
         (yokonuma, "canonical_reduced_word"),
-        (yokonuma, "_basis_word"),
         (yokonuma, "_word_times_g"),
         (exactnum, "cyclotomic_polynomial"),
         (trace, "_trace_word"),
@@ -467,9 +466,9 @@ def test_canonical_form_is_shared_by_every_construction():
         (multiply(e, e), e),
         (represent_braid(2, parse_braid("1 -1")), AlgebraElement.one(2, 2)),
         (represent_braid(2, parse_braid("1 1")), multiply(g, g)),
-        (AlgebraElement.from_ints(2, 2, {w[(0, 0), (0, 1)]: {0: 4, 1: -6}}, 4),
+        (AlgebraElement.from_ints(2, 2, {((0, 0), (0, 1)): {0: 4, 1: -6}}, 4),
          AlgebraElement(2, 2, {w[(0, 0), (0, 1)]: LaurentU.from_dict({0: 1, 1: Fraction(-3, 2)})})),
-        (AlgebraElement.from_ints(2, 2, {w[(0, 0), (0, 1)]: {0: 0}}, 8), AlgebraElement.zero(2, 2)),
+        (AlgebraElement.from_ints(2, 2, {((0, 0), (0, 1)): {0: 0}}, 8), AlgebraElement.zero(2, 2)),
         (e - e, AlgebraElement.zero(2, 2)),
         (e.scale(0), AlgebraElement.zero(2, 2)),
         (rho(2, 4, idempotent_e(4, 2, 1)), e),
@@ -484,3 +483,25 @@ def test_canonical_form_is_shared_by_every_construction():
         assert rho(1, 2, a) == rho(1, 2, b)
     assert (AlgebraElement.zero(2, 2).int_terms, AlgebraElement.zero(2, 2).den) == ({}, 1)
     assert e != e.scale(2) and e.scale(2).den == 1 and e.den == 2
+
+
+def test_tracing_constructs_no_basis_word(monkeypatch):
+    """The kernel keys words as (framings, perm) tuples: with cold caches,
+    tracing a 4-strand braid at d = 4, through the ties or through its image
+    in Y_{4,4}, validates no BasisWord, and the image shows its terms as
+    BasisWord only when they are read."""
+    import yhecke.trace as trace
+    import yhecke.yokonuma as yokonuma
+
+    built = []
+    check = BasisWord.__post_init__
+    monkeypatch.setattr(BasisWord, "__post_init__", lambda self: built.append(self) or check(self))
+    for cache in (yokonuma.canonical_reduced_word, yokonuma._word_times_g, yokonuma._word_times_letter,
+                  yokonuma._letter_image, trace._trace_word, trace._tie_trace):
+        cache.cache_clear()
+    b = parse_braid("4: 1 -2 3 2 -1 -3 2 1")
+    value = trace.trace_of_braid(4, b)
+    image = represent_braid(4, b)
+    assert trace.markov_trace(image) == value and not value.is_zero()
+    assert built == []
+    assert len(image.terms) == len(built) == len(image.int_terms) > 0
