@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .braid import BraidWord, exponent_sum
 from .esystem import reduce_subset
 from .exactnum import PolyUZ, RatFunc
-from .trace import solution_value
+from .trace import _ell_power, solution_value
 
 
 @dataclass(frozen=True)
@@ -61,14 +59,9 @@ class InvariantValue:
 
 
 def lambda_param(d: int, subset) -> RatFunc:
-    """The rescaling factor (z - (1-u) zeta) / (u z) with zeta = 1/|S mod d|."""
-    return _lambda(Fraction(1, len(reduce_subset(d, subset))))
-
-
-@lru_cache(maxsize=64)
-def _lambda(zeta: Fraction) -> RatFunc:
-    ell = PolyUZ.from_dict({(0, 1): Fraction(1), (1, 0): zeta, (0, 0): -zeta})
-    return RatFunc.make(ell, PolyUZ.monomial(1, 1))
+    """The rescaling factor L / (u z), L = z - (1-u) zeta with zeta = 1/|S mod d|,
+    in lowest terms."""
+    return RatFunc(_ell_power(len(reduce_subset(d, subset)), 1), PolyUZ.monomial(1, 1))
 
 
 def _make_value(d: int, half_power: int, num: PolyUZ, den: PolyUZ, lam: RatFunc) -> InvariantValue:

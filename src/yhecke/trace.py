@@ -4,29 +4,28 @@ The trace is the unique linear map with tr(1) = 1, tr(ab) = tr(ba),
 tr(a g_n) = z tr(a) and tr(a t_{n+1}^m) = x_m tr(a) for a in Y_{d,n};
 its values live in ``TracePolynomial`` (z and x_1..x_{d-1} over Laurent-u).
 
-Evaluation works basis word by basis word, reducing the strand count:
+Every trace is taken on terms t^c E_A g_w, E_A the product of the e_{j,k}
+over the pairs j, k in one block of a set partition A of the strands.  As
+g_w t_j = t_{w(j)} g_w and the trace is cyclic, tr(t^c E_A g_w) depends only
+on its class key (J, w, s): J is A joined along the cycles of w, and s the
+sums of c over the blocks of J mod d.  ``_trace_word`` is the one trace
+recursion, cached per (d, key) as integer triples over a power of d.  It
+takes off the last strand:
 
-- if the permutation fixes the last strand, strip it and multiply by x_m
-  where m is that strand's framing (x_0 = 1);
-- otherwise split off the unique coset factor g_{n-1} g_{n-2} ... g_k of the
-  permutation, push the last framing through it (t_n g_{n-1} = g_{n-1}
-  t_{n-1}), and use cyclicity: tr(x g_{n-1} y) = z tr(y x) with x, y one
-  strand down.
+- if w fixes it, multiply by x_{s_B} (x_0 = 1) when its block B is a
+  singleton, and else average x_m times the trace with s_B - m over m;
+- otherwise split off the factor g_{n-1} g_{n-2} ... g_k of g_w, use
+  tr(x g_{n-1} y) = z tr(y x) with x, y one strand down, rewrite y x on terms
+  E_A g_v by the ties rules, and average over the framings c with block
+  sums s that sit on the least strand of each cycle of w.
 
-Word traces are cached per (d, (framings, perm)), the key of ``yokonuma``'s
-integer kernel, as integer triples over a power of d; ``markov_trace`` builds
-``LaurentU`` coefficients only for its result.
-
-A braid needs nothing of the framings beyond the products E_A of the e_i,
-so ``trace_of_braid`` does not expand it on the words t^a g_w.  It rewrites the braid
-letter by letter on terms E_A g_w of the algebra of braids and ties
-(Aicardi-Juyumaya; basis {E_A g_w} by Ryom-Hansen), A a set partition of the
-strands, with integer Laurent coefficients and rules that do not depend on d
-(``yokonuma._tie_expansion``, which ``yokonuma.represent_braid`` expands on
-the words t^a g_w).  Y_{d,n} is entered only in tr(E_A g_w), which is
-cached per (d, A, w) and summed from word traces, one per class of framings
-with equal sums over the cycles of w (g_w t_j = t_{w(j)} g_w and cyclicity).
-``markov_trace`` of ``represent_braid`` stays the element API.
+A braid needs nothing of the framings beyond the E_A, so ``trace_of_braid``
+rewrites it letter by letter on terms E_A g_w of the algebra of braids and
+ties (Aicardi-Juyumaya; basis {E_A g_w} by Ryom-Hansen), with integer
+Laurent coefficients and rules that do not depend on d
+(``yokonuma._tie_expansion``).  ``markov_trace`` of ``represent_braid``
+stays the element API; it traces a basis word t^a g_w with A in singletons.
+No trace forms a product of framed words.
 
 At an E-system solution (d, S) a braid's trace depends only on k = |S mod d|, so
 ``trace_of_braid`` takes S and reads the trace over Q as the x-free part in
@@ -38,7 +37,7 @@ the two multiplicative rules on random elements) rather than assumed.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,14 +45,13 @@ from .braid import BraidWord
 # trace_poly_substitute and represent_braid stay bound here, where
 # bench/tracing.py wraps them by name; no braid trace calls them.
 from .esystem import reduce_subset
-from .exactnum import LaurentU, PolyUZ, RatFunc, TracePolynomial, _linear_power, _monomial_shift, trace_poly_substitute
+from .exactnum import LaurentU, PolyUZ, RatFunc, TracePolynomial, _monomial_shift, trace_poly_substitute
 from .yokonuma import (
     AlgebraElement,
     _block_zero_framings,
+    _join,
     _tie_expansion,
-    _times_word,
     canonical_reduced_word,
-    compose,
     represent_braid,
 )
 
@@ -67,41 +65,67 @@ def _times_x(mono: tuple, d: int, m: int) -> tuple:
     return ze, xe[: m - 1] + (xe[m - 1] + 1,) + xe[m:]
 
 
-# Entries of the word-trace cache: about three times what a 5-strand knot at |S| = 6 keeps, 30 times any workload.
+# Entries of the trace cache: about three times what a 5-strand knot at |S| = 12 keeps, 50 times any workload.
 TRACE_WORD_CACHE = 8192
+
+
+def _class_key(d: int, blocks: tuple, perm: tuple, fr: tuple) -> tuple:
+    """The class key (J, w, s) of t^c E_A g_w for A = blocks, w = perm and
+    c = fr: J is A joined along the cycles of w, and s the sums of c over the
+    blocks of J mod d."""
+    for j, i in enumerate(perm):
+        blocks = _join(blocks, j, i)
+    sums = [0] * (max(blocks) + 1)
+    for b, a in zip(blocks, fr):
+        sums[b] += a
+    return blocks, perm, tuple(a % d for a in sums)
 
 
 @lru_cache(maxsize=TRACE_WORD_CACHE)
 def _trace_word(d: int, key: tuple) -> tuple[int, tuple[tuple[tuple, int, int], ...]]:
-    """tr(word) in Y_{d,n} for the word keyed (framings, perm), as (den,
-    triples): tr(word) = (1/den) * sum c u^e mono over its (mono, e, c)
+    """tr(t^c E_J g_w) in Y_{d,n} for the class key (J, w, s), as (den,
+    triples): the trace is (1/den) * sum c u^e mono over its (mono, e, c)
     triples, den the least power of d that makes them integers."""
-    fr, perm = key
+    blocks, perm, sums = key
     n = len(perm)
-    if n == 1:
-        return 1, ((_times_x((0, (0,) * (d - 1)), d, fr[0]), 0, 1),)
-    if perm[n - 1] == n - 1:
-        den, triples = _trace_word(d, (fr[: n - 1], perm[: n - 1]))
-        return den, tuple((_times_x(mono, d, fr[n - 1]), e, c) for mono, e, c in triples)
-    # perm moves the last strand: perm = u . c_k with u fixing it and
-    # c_k the cycle sending k to the last position (0-based k).
-    k = perm.index(n - 1)
-    c_inv = tuple(
-        j if j < k else (k if j == n - 1 else j + 1) for j in range(n)
-    )
-    # u_full fixes the last strand: u_full[n-1] = perm[c_inv[n-1]] = perm[k] = n-1
-    u_full = compose(perm, c_inv)
-    x_key = (fr[: n - 1], u_full[: n - 1])
-    # y = t_{n-1}^{a_n} g_{n-2} ... g_k, entirely one strand down.
-    y_perm = tuple(
-        j if j < k else (n - 2 if j == k else j - 1) for j in range(n - 1)
-    )
-    y_fr = [0] * (n - 1)
-    y_fr[n - 2] = fr[n - 1]
-    y_key = (tuple(y_fr), y_perm)
-    # tr(x g_{n-1} y) = z tr(y x)
-    den, acc = _trace_terms(d, _times_word({y_key: {0: 1}}, x_key, d), _trace_word)
-    den *= d ** len(canonical_reduced_word(x_key[1]))
+    if not n:
+        return 1, (((0, (0,) * (d - 1)), 0, 1),)
+    last = n - 1
+    if perm[last] == last:
+        rest = blocks[:last], perm[:last]
+        b = blocks[last]
+        if b not in rest[0]:  # tr(a t_last^s) = x_s tr(a)
+            den, triples = _trace_word(d, (*rest, sums[:b]))
+            return den, tuple((_times_x(mono, d, sums[b]), e, c) for mono, e, c in triples)
+        # c on the first strand j of B, and E_J = (1/d) sum_m E_J' t_j^m t_last^-m
+        parts = []
+        for m in range(d):
+            den, triples = _trace_word(d, (*rest, sums[:b] + ((sums[b] - m) % d,) + sums[b + 1 :]))
+            parts.append(({0: 1}, (den, [(_times_x(mono, d, m), e, c) for mono, e, c in triples])))
+        den, acc = _trace_terms(parts)
+        return _lowest_terms(d, den * d, [(mono, e, c) for mono, poly in acc.items() for e, c in poly.items() if c])
+    # perm = u c_k, u fixing the last strand and c_k the cycle sending k to
+    # it, so g_w = x g_{n-1} y with x = g_u and y = g_{n-2} ... g_k
+    k = perm.index(last)
+    u = tuple(perm[j if j < k else j + 1] for j in range(last))
+    y = tuple(j if j < k else (last - 1 if j == k else j - 1) for j in range(last))
+    products = _tie_expansion(d, BraidWord(last, canonical_reduced_word(y) + canonical_reduced_word(u)))
+    # tr(t^c E_J g_w) is the mean of tr(t^c x g_{n-1} y) = z tr(y t^c x) over
+    # the framings c with block sums s on the least strand of each cycle,
+    # which the last strand is not; y t^c = t^c' y moves c_k to strand last - 1
+    cycles = _class_key(d, tuple(range(n)), perm, ())[0]
+    least = {cycles.index(c) for c in range(max(cycles) + 1)}
+    start = {blocks.index(b): s for b, s in enumerate(sums)}
+    classes: dict = {}
+    for fr in _block_zero_framings(d, tuple(blocks[j] if j in least else n + j for j in range(n))):
+        fr = [a + start.get(j, 0) for j, a in enumerate(fr)]
+        fr = fr[:k] + fr[k + 1 : last] + fr[k : k + 1]
+        for (tied, v), poly in products.items():
+            dst = classes.setdefault(_class_key(d, tied, v, fr), {})
+            for e, c in poly.items():
+                dst[e] = dst.get(e, 0) + c
+    den, acc = _trace_terms([(poly, _trace_word(d, class_key)) for class_key, poly in classes.items()])
+    den *= d ** (len(least) - len(sums))
     return _lowest_terms(d, den, [((ze + 1, xe), e, c) for (ze, xe), poly in acc.items() for e, c in poly.items() if c])
 
 
@@ -113,14 +137,13 @@ def _lowest_terms(d: int, den: int, triples: list) -> tuple[int, tuple]:
     return den, tuple(triples)
 
 
-def _trace_terms(d: int, terms: dict, trace) -> tuple[int, dict[tuple, dict[int, int]]]:
-    """The trace of integer terms {key: {u-exponent: int}} as (den, {mono:
-    {u-exponent: int}}); ``trace(d, key)`` gives each key's trace as (den,
-    triples)."""
-    traces = [(poly, trace(d, w)) for w, poly in terms.items()]
-    den = max((t[0] for _, t in traces), default=1)
+def _trace_terms(parts: list) -> tuple[int, dict[tuple, dict[int, int]]]:
+    """The sum of poly * tr over (poly, tr) parts, poly a u-polynomial
+    {u-exponent: int} and tr a trace as (den, triples), as (den, {mono:
+    {u-exponent: int}})."""
+    den = max((t[0] for _, t in parts), default=1)
     acc: dict[tuple, dict[int, int]] = {}
-    for poly, (word_den, triples) in traces:
+    for poly, (word_den, triples) in parts:
         scale = den // word_den
         for mono, e2, c2 in triples:
             dst = acc.get(mono)
@@ -134,7 +157,8 @@ def _trace_terms(d: int, terms: dict, trace) -> tuple[int, dict[tuple, dict[int,
 
 
 def markov_trace(a: AlgebraElement) -> TracePolynomial:
-    """The trace of an algebra element, extended linearly over basis words.
+    """The trace of an algebra element, extended linearly over basis words;
+    a basis word t^a g_w is traced by its class key with A in singletons.
 
     >>> from .yokonuma import AlgebraElement, generator
     >>> str(markov_trace(AlgebraElement.one(3, 2)))
@@ -142,7 +166,8 @@ def markov_trace(a: AlgebraElement) -> TracePolynomial:
     >>> str(markov_trace(generator(3, 2, 1)))
     'z'
     """
-    trace_den, acc = _trace_terms(a.d, a.int_terms, _trace_word)
+    words = [(poly, _class_key(a.d, tuple(range(a.n)), w, fr)) for (fr, w), poly in a.int_terms.items()]
+    trace_den, acc = _trace_terms([(poly, _trace_word(a.d, key)) for poly, key in words])
     return _trace_polynomial(a.d, a.den * trace_den, acc)
 
 
@@ -151,30 +176,9 @@ def _trace_polynomial(d: int, den: int, acc: dict) -> TracePolynomial:
     return TracePolynomial.from_dict(d, {mono: LaurentU.from_ints(poly, den) for mono, poly in acc.items()})
 
 
-# Entries of the tr(E_A g_w) cache, one per (d, A, w): bounded so that a long
-# corpus keeps memory flat, and large enough that no benchmark workload evicts.
-TIE_TRACE_CACHE = 4096
-
-
-@lru_cache(maxsize=TIE_TRACE_CACHE)
 def _tie_trace(d: int, key: tuple) -> tuple[int, tuple]:
-    """tr(E_A g_w) for key (A, w), as ``_trace_word`` gives it: E_A is
-    d^-(n-|A|) times the sum of t^a over ``_block_zero_framings``.  As
-    g_w t_j = t_{w(j)} g_w and the trace is cyclic, tr(t^a g_w) depends on a
-    only through its sums over the cycles of w: the framings are counted by
-    that vector, and one word per class, the sum of each cycle on its first
-    strand, is traced with its count."""
-    blocks, perm = key
-    n = len(perm)
-    first: list[int] = []  # the least strand of each strand's cycle
-    for j in range(n):
-        i = perm[j]
-        while i > j:
-            i = perm[i]
-        first.append(j if i == j else first[i])
-    counts = Counter(_block_zero_framings(d, blocks, first))
-    den, acc = _trace_terms(d, {(fr, perm): {0: c} for fr, c in counts.items()}, _trace_word)
-    return _lowest_terms(d, den * d ** (n - len(set(blocks))), [(mono, e, c) for mono, poly in acc.items() for e, c in poly.items() if c])
+    """tr(E_A g_w) for key (A, w), as ``_trace_word`` gives it."""
+    return _trace_word(d, _class_key(d, *key, ()))
 
 
 def trace_of_braid(d: int, b: BraidWord, subset=None) -> "TracePolynomial | RatFunc":
@@ -182,11 +186,11 @@ def trace_of_braid(d: int, b: BraidWord, subset=None) -> "TracePolynomial | RatF
     value over Q at the E-system solution S: the x-free part of the trace in
     Y_{k,n}, k = |S mod d|, which is its value at the full subset of Z/kZ
     (x_m = 0 for m != 0).  The braid is traced through ``_tie_expansion`` and
-    the cached tr(E_A g_w).  The oracle substitutes the solution of S into
+    the class keys of its terms.  The oracle substitutes the solution of S into
     ``markov_trace(represent_braid(d, b))`` with ``trace_poly_substitute``."""
     if subset is not None:
         return solution_value(len(reduce_subset(d, subset)), b)
-    return _trace_polynomial(d, *_trace_terms(d, _tie_expansion(d, b), _tie_trace))
+    return _trace_polynomial(d, *_trace_terms([(poly, _tie_trace(d, key)) for key, poly in _tie_expansion(d, b).items()]))
 
 
 def solution_value(k: int, b: BraidWord, fold: int = 0, z_power: int = 0) -> RatFunc:
@@ -198,7 +202,7 @@ def solution_value(k: int, b: BraidWord, fold: int = 0, z_power: int = 0) -> Rat
     L = z - (1-u)/k, so the denominator is the monic u^a z^b L^c of
     ``RatFunc.make``'s canonical form.
     """
-    den, acc = _trace_terms(k, _tie_expansion(k, b), _tie_trace)
+    den, acc = _trace_terms([(poly, _tie_trace(k, key)) for key, poly in _tie_expansion(k, b).items()])
     num = {(e, ze): c for (ze, xe), poly in acc.items() if not any(xe) for e, c in poly.items() if c}
     if not num:
         return RatFunc(PolyUZ.zero(), PolyUZ.one())
@@ -213,8 +217,13 @@ def solution_value(k: int, b: BraidWord, fold: int = 0, z_power: int = 0) -> Rat
     scale = Fraction(k ** max(-fold, 0), den * k ** (max(fold, 0) + left))
     ue, ze = lu - fold, lz - fold - z_power  # the monomial u^ue z^ze of the value
     body = PolyUZ.from_dict({(e + max(ue, 0), z + max(ze, 0)): scale * c for (e, z), c in num.items()})
-    ell = PolyUZ.from_dict({(0, 1): Fraction(1), (1, 0): Fraction(1, k), (0, 0): Fraction(-1, k)})
-    return RatFunc(body, _monomial_shift(_linear_power(ell, left), max(-ue, 0), max(-ze, 0)))
+    return RatFunc(body, _monomial_shift(_ell_power(k, left), max(-ue, 0), max(-ze, 0)))
+
+
+def _ell_power(k: int, c: int) -> PolyUZ:
+    """L^c for L = z - (1-u)/k = z + u/k - 1/k, by the trinomial theorem."""
+    return PolyUZ.from_dict({(b, a): Fraction(math.comb(c, a) * math.comb(c - a, b) * (-1) ** (c - a - b), k ** (c - a))
+                             for a in range(c + 1) for b in range(c - a + 1)})
 
 
 def _times_m(num: dict, k: int) -> dict:

@@ -40,7 +40,8 @@ which validates the one and reads coefficients as the other.  A braid is
 rewritten on terms E_A g_w of the algebra of braids and ties, keyed
 (A, w) the same way, whose rules have integer coefficients and do not
 depend on d (``_tie_expansion``); so no division is left, and
-``represent_braid`` expands the E_A g_w on t^a g_w.
+``represent_braid`` expands the E_A g_w on t^a g_w.  The traces rewrite on
+these terms too, so ``_word_times_g`` serves ``multiply`` alone.
 """
 
 from __future__ import annotations
@@ -151,8 +152,7 @@ class BasisWord:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        if self.d < 1 or self.n < 1:
-            raise ValueError(f"basis word needs d >= 1 and n >= 1, got d={self.d}, n={self.n}")
+        _check_algebra(self.d, self.n)
         if len(self.framings) != self.n or not all(0 <= a < self.d for a in self.framings):
             raise ValueError(f"framings {self.framings} are not {self.n} residues mod {self.d}")
         if len(self.perm) != self.n or not is_permutation(self.perm):
@@ -165,6 +165,11 @@ class BasisWord:
                 factors.append(f"t{j + 1}" if a == 1 else f"t{j + 1}^{a}")
         factors.extend(f"g{i}" for i in canonical_reduced_word(self.perm))
         return "*".join(factors) if factors else "1"
+
+
+def _check_algebra(d: int, n: int):
+    if d < 1 or n < 1:
+        raise ValueError(f"basis word needs d >= 1 and n >= 1, got d={d}, n={n}")
 
 
 # Integer-kernel terms: {(framings, perm): {u-exponent: int}}, read over a denominator.
@@ -201,6 +206,7 @@ class AlgebraElement(ExactArithmetic):
         self._store(d, n, *_int_form({(w.framings, w.perm): lu for w, lu in terms.items()}))
 
     def _store(self, d: int, n: int, terms: _Scaled, den: int):
+        _check_algebra(d, n)
         g = math.gcd(den, *(c for poly in terms.values() for c in poly.values()))
         terms = {w: kept for w, poly in terms.items() if (kept := {e: c // g for e, c in poly.items() if c})}
         self.d, self.n, self.int_terms, self.den = d, n, terms, den // g
@@ -384,27 +390,21 @@ def _add_product(dst: dict[int, int], p: dict[int, int], q: dict[int, int], scal
             dst[k] = dst.get(k, 0) + c * c2 * scale
 
 
-def _times_word(terms: _Scaled, key: tuple, d: int) -> _Scaled:
-    """terms * word in Y_{d,n} for the word keyed (framings, perm), scaled by
-    d^l where l is the length of perm: first absorb the t-monomial, then the
-    g-word letter by letter."""
-    add, perm = key
-    cur = {(_shift_framings(fr, w, add, d), w): poly for (fr, w), poly in terms.items()}
-    for i in canonical_reduced_word(perm):
-        cur = _right_multiply(cur, _word_times_g, i, d)
-    return cur
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The product in Y_{d,n}, collected in canonical basis words."""
+    """The product in Y_{d,n}, collected in canonical basis words: a times
+    each word t^add g_perm of b, scaled by d^l for l the length of perm,
+    absorbs the t-monomial, then the g-word letter by letter."""
     a._check_compatible(b)
     d, n = a.d, a.n
     right = b.int_terms
     top = max((len(canonical_reduced_word(perm)) for _, perm in right), default=0)
     out: _Scaled = {}
-    for w2, poly2 in right.items():
-        scale = d ** (top - len(canonical_reduced_word(w2[1])))
-        for w, poly in _times_word(a.int_terms, w2, d).items():
+    for (add, perm), poly2 in right.items():
+        cur = {(_shift_framings(fr, w, add, d), w): poly for (fr, w), poly in a.int_terms.items()}
+        for i in canonical_reduced_word(perm):
+            cur = _right_multiply(cur, _word_times_g, i, d)
+        scale = d ** (top - len(canonical_reduced_word(perm)))
+        for w, poly in cur.items():
             _add_product(out.setdefault(w, {}), poly, poly2, scale)
     return AlgebraElement.from_ints(d, n, out, a.den * b.den * d**top)
 
@@ -496,21 +496,19 @@ TIE_LETTER_CACHE = 4096
 def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """The set partition ``blocks`` with the blocks of strands a and b joined.
     Labels are canonical: blocks are numbered 0, 1, ... by their first strand."""
-    lo, hi = sorted((blocks[a], blocks[b]))
-    if lo == hi:
+    if blocks[a] == blocks[b]:
         return blocks
+    lo, hi = sorted((blocks[a], blocks[b]))
     return tuple(lo if x == hi else x - (x > hi) for x in blocks)
 
 
-def _block_zero_framings(d: int, blocks: tuple[int, ...], into=None):
+def _block_zero_framings(d: int, blocks: tuple[int, ...]):
     """The framings a, as residues mod d, whose sum over every block of
     ``blocks`` is 0 mod d: E_A is d^-(n-|A|) times the sum of t^a over them.
     Every strand but the first of its block is free, and the first takes
-    minus their sum.  Given ``into``, a_j is added at strand into[j]
-    instead, so each framing comes summed over the classes of ``into``."""
+    minus their sum."""
     n = len(blocks)
-    into = into or range(n)
-    free = [(into[j], into[blocks.index(blocks[j])]) for j in range(n) if blocks.index(blocks[j]) < j]
+    free = [(j, blocks.index(blocks[j])) for j in range(n) if blocks.index(blocks[j]) < j]
     for values in product(range(d), repeat=len(free)):
         fr = [0] * n
         for (j, f), a in zip(free, values):

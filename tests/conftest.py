@@ -3,12 +3,13 @@ plus naive oracles kept deliberately independent of the library internals."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 from yhecke.braid import BraidWord
-from yhecke.exactnum import LaurentU
+from yhecke.exactnum import LaurentU, TracePolynomial
 from yhecke.yokonuma import AlgebraElement, BasisWord, generator, multiply
 
 
@@ -136,3 +137,29 @@ def braid_image_oracle(d: int, b: BraidWord) -> AlgebraElement:
     for letter in b.letters:
         acc = multiply(acc, letter_image_oracle(d, b.strands, letter))
     return acc
+
+
+@functools.lru_cache(maxsize=None)
+def framed_trace_oracle(d: int, fr: tuple[int, ...], perm: tuple[int, ...]) -> TracePolynomial:
+    """tr(t^fr g_perm) in Y_{d,n} by the framed word recursion, with every
+    product a ``multiply``.  A last strand that perm fixes is stripped with
+    x_m for its framing m.  Otherwise g_perm = x g_{n-1} y with x = t^a g_u,
+    u fixing the last strand, and y = t_{n-1}^m g_{n-2} ... g_k one strand
+    down, where m is the last strand's framing; then tr(x g_{n-1} y) =
+    z tr(y x)."""
+    n = len(perm)
+    if not n:
+        return TracePolynomial.one(d)
+    last = n - 1
+    if perm[last] == last:
+        return TracePolynomial.x_var(d, fr[last]) * framed_trace_oracle(d, fr[:last], perm[:last])
+    k = perm.index(last)
+    # perm = u . c_k for the cycle c_k sending k to the last strand
+    u = tuple(perm[j if j < k else j + 1] for j in range(last))
+    y_perm = tuple(j if j < k else (last - 1 if j == k else j - 1) for j in range(last))
+    x = AlgebraElement.from_word(BasisWord(d, last, fr[:last], u))
+    y = AlgebraElement.from_word(BasisWord(d, last, (0,) * (last - 1) + (fr[last],), y_perm))
+    total = TracePolynomial.zero(d)
+    for w, coeff in multiply(y, x).terms.items():
+        total += framed_trace_oracle(d, w.framings, w.perm).scale(coeff)
+    return TracePolynomial.z_var(d) * total

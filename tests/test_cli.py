@@ -3,6 +3,7 @@ robustness, exit codes."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -387,6 +388,23 @@ def test_braid_above_the_strand_limit_is_refused_before_any_work(argv, braid, so
     assert (code, out) == (EXIT_PRECONDITION, "")
     strands = braid.split(":")[0]
     assert err == f"error: a braid on {strands} strands is above the limit {yhecke.cli.MAX_STRANDS} of the trace\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--d", "2", "--braid", "480:"),
+        ("invariant", "--d", "2", "--subset", "0,1", "--braid", "480:"),
+        ("trace", "--d", "2", "--braid", "240: " + " ".join(str(i) for i in range(1, 240))),
+    ],
+)
+def test_deep_braids_trace_with_cold_caches(argv):
+    """Hundreds of strands stay within the recursion limit in a fresh
+    process: the trace recursion takes one strand off per step in a few
+    frames."""
+    proc = run_cli_process(*argv)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.startswith("tr_2(" if argv[0] == "trace" else "Delta[")
 
 
 def test_braid_too_deep_to_trace_is_a_precondition_violation():
@@ -777,3 +795,17 @@ def test_program_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_workload_records_replay_byte_identically():
+    """The seed-1 records of the three benchmark workloads, frozen under
+    ``tests/golden/`` with one sha256 per workload of every record's exit
+    code, stdout and stderr, replayed in turn through ``main``."""
+    frozen = json.loads((GOLDEN / "workload_records_seed1.json").read_text(encoding="utf-8"))
+    assert sorted(frozen) == ["adelic_chains", "generic_trace_d4", "writhe_knots"]
+    for workload, entry in frozen.items():
+        digest = hashlib.sha256()
+        for argv in entry["records"]:
+            code, out, err = run_cli(*argv)
+            digest.update(json.dumps([code, out, err]).encode())
+        assert digest.hexdigest() == entry["sha256"], workload

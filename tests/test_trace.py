@@ -3,13 +3,14 @@ E-condition, and the closed-form values used downstream."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from conftest import random_braid, random_element, tie_element, tie_keys
+from conftest import framed_trace_oracle, random_braid, random_element, tie_element, tie_keys
 import yhecke.esystem
 import yhecke.exactnum
 import yhecke.trace
@@ -382,35 +383,20 @@ def test_braid_traces_never_build_the_y_dn_image(monkeypatch):
     monkeypatch.setattr(yhecke.yokonuma, "_letter_image", forbidden)
     monkeypatch.setattr(yhecke.yokonuma, "multiply", forbidden)
     b = parse_braid("4: 1 -2 3 -1 2 -3 -2")
-    yhecke.trace._tie_trace.cache_clear()
+    yhecke.trace._trace_word.cache_clear()
     assert not trace_of_braid(3, b).is_zero()
     assert not trace_of_braid(4, b, {0, 2}).is_zero()
 
 
-def test_tie_trace_cache_is_bounded_and_exact_under_eviction(monkeypatch):
-    """The tr(E_A g_w) cache is bounded; a sweep over more keys than a small
-    bound keeps it within the bound and the traces equal to the oracle's."""
-    assert yhecke.trace._tie_trace.cache_info().maxsize == yhecke.trace.TIE_TRACE_CACHE
-    small = lru_cache(maxsize=8)(yhecke.trace._tie_trace.__wrapped__)
-    monkeypatch.setattr(yhecke.trace, "_tie_trace", small)
-    rng = random.Random(9)
-    for d in (2, 3):
-        for _ in range(8):
-            b = random_braid(rng, 3, len_max=7)
-            assert trace_of_braid(d, b) == markov_trace(represent_braid(d, b)), (d, b)
-            assert small.cache_info().currsize <= 8
-    assert small.cache_info().misses > 8
-
-
 def test_tie_trace_by_cycle_classes_equals_the_definition():
-    """tr(E_A g_w), traced on one framing per class of cycle sums, is the
-    trace of E_A g_w summed over all its framings: every key with n <= 4 and
-    d <= 3, and seeded 5-strand keys."""
+    """tr(E_A g_w), traced by its class key, is the trace of E_A g_w summed
+    over all its framings: every key with n <= 4 and d <= 3, and seeded
+    5-strand keys."""
     cases = [(d, key) for n in range(1, 5) for key in tie_keys(n) for d in (1, 2, 3)]
     rng = random.Random(33)
     cases += [(d, key) for d in (2, 3) for key in rng.sample(tie_keys(5), 12)]
     for d, key in cases:
-        den, triples = yhecke.trace._tie_trace.__wrapped__(d, key)
+        den, triples = yhecke.trace._tie_trace(d, key)
         acc: dict = {}
         for mono, e, c in triples:
             acc.setdefault(mono, {})[e] = c
@@ -426,9 +412,63 @@ def test_word_trace_cache_is_bounded_and_exact_under_eviction(monkeypatch):
     expected = [markov_trace(represent_braid(d, b)) for d, b in cases]
     small = lru_cache(maxsize=8)(yhecke.trace._trace_word.__wrapped__)
     monkeypatch.setattr(yhecke.trace, "_trace_word", small)
-    monkeypatch.setattr(yhecke.trace, "_tie_trace", lru_cache(maxsize=8)(yhecke.trace._tie_trace.__wrapped__))
     for (d, b), value in zip(cases, expected):
         assert trace_of_braid(d, b) == value, (d, b)
         assert markov_trace(represent_braid(d, b)) == value, (d, b)
         assert small.cache_info().currsize <= 8
     assert small.cache_info().misses > 8
+
+
+def class_key_framings(d: int, blocks: tuple, perm: tuple) -> dict:
+    """Every framing c on the strands, grouped by the class key (J, w, s) of
+    t^c E_J g_w, where J = blocks contains the cycles of w = perm and s is
+    the sums of c over the blocks of J mod d."""
+    out: dict = {}
+    for c in itertools.product(range(d), repeat=len(perm)):
+        sums = tuple(sum(a for a, b in zip(c, blocks) if b == k) % d for k in range(max(blocks) + 1))
+        out.setdefault((blocks, perm, sums), []).append(c)
+    return out
+
+
+def test_class_key_trace_is_the_mean_of_the_framed_oracle():
+    """``_trace_word`` on a class key (J, w, s) is the mean of the framed word
+    oracle over every framing c with block sums s: tr(t^c E_J g_w) depends on
+    nothing else.  Every class key with n <= 4 and d <= 3, and the class keys
+    of seeded 5-strand (J, w) at d = 2, 3."""
+    def joined(n):  # every (J, w) on n strands with J containing the cycles of w
+        return [(a, w) for a, w in tie_keys(n) if all(a[j] == a[w[j]] for j in range(n))]
+
+    pairs = [(d, key) for n in range(1, 5) for key in joined(n) for d in (1, 2, 3)]
+    rng = random.Random(47)
+    pairs += [(d, key) for d in (2, 3) for key in rng.sample(joined(5), 8)]
+    yhecke.trace._trace_word.cache_clear()
+    checked = 0
+    for d, (blocks, perm) in pairs:
+        for key, framings in class_key_framings(d, blocks, perm).items():
+            total = TracePolynomial.zero(d)
+            for c in framings:
+                total += framed_trace_oracle(d, c, perm)
+            den, triples = yhecke.trace._trace_word(d, key)
+            acc: dict = {}
+            for mono, e, c in triples:
+                acc.setdefault(mono, {})[e] = c
+            assert _trace_polynomial(d, den, acc) == total.scale(Fraction(1, len(framings))), (d, key)
+            checked += 1
+    assert checked == 1484  # 1366 keys with n <= 4 and 118 of the seeded 5-strand (J, w)
+
+
+def test_no_trace_forms_a_framed_product(monkeypatch):
+    """A braid trace, generic or at a solution, and ``markov_trace`` of a
+    braid image never call ``yokonuma._word_times_g``: every trace step
+    rewrites on terms E_A g_v, and the framed product serves ``multiply``."""
+
+    def forbidden(*args):
+        raise AssertionError("a trace formed a product of framed words")
+
+    b = parse_braid("4: 1 -2 3 -1 2 -3 -2")
+    image = represent_braid(3, b)
+    yhecke.trace._trace_word.cache_clear()
+    monkeypatch.setattr(yhecke.yokonuma, "_word_times_g", forbidden)
+    assert markov_trace(image) == trace_of_braid(3, b)
+    assert not markov_trace(image).is_zero()
+    assert not trace_of_braid(4, b, {0, 2}).is_zero()

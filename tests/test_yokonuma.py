@@ -326,6 +326,19 @@ def test_element_rejects_words_of_another_algebra():
             AlgebraElement(2, 2, {BasisWord(2, 2, (0, 0), (0, 1)): one, word: one})
 
 
+@pytest.mark.parametrize("d,n", [(0, -1), (0, 2), (2, 0), (-3, 1)])
+def test_element_needs_a_positive_modulus_and_strand_count(d, n):
+    """Every element constructor refuses d < 1 or n < 1 with the message of
+    ``BasisWord``, so no element of such an algebra exists to be embedded."""
+    message = f"basis word needs d >= 1 and n >= 1, got d={d}, n={n}"
+    for build in (AlgebraElement.zero, AlgebraElement.one, lambda d, n: AlgebraElement.from_ints(d, n, {}, 1)):
+        with pytest.raises(ValueError) as info:
+            build(d, n)
+        assert str(info.value) == message
+    with pytest.raises(ValueError):
+        embed(AlgebraElement.zero(1, 1), 0)
+
+
 def test_element_validation_survives_optimize():
     """The check is an explicit raise, so python -O keeps it."""
     import yhecke
@@ -497,7 +510,7 @@ def test_tracing_constructs_no_basis_word(monkeypatch):
     check = BasisWord.__post_init__
     monkeypatch.setattr(BasisWord, "__post_init__", lambda self: built.append(self) or check(self))
     for cache in (yokonuma.canonical_reduced_word, yokonuma._word_times_g, yokonuma._word_times_letter,
-                  yokonuma._letter_image, trace._trace_word, trace._tie_trace):
+                  yokonuma._letter_image, trace._trace_word):
         cache.cache_clear()
     b = parse_braid("4: 1 -2 3 2 -1 -3 2 1")
     value = trace.trace_of_braid(4, b)
