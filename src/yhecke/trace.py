@@ -14,10 +14,13 @@ takes off the last strand:
 
 - if w fixes it, multiply by x_{s_B} (x_0 = 1) when its block B is a
   singleton, and else average x_m times the trace with s_B - m over m;
-- otherwise split off the factor g_{n-1} g_{n-2} ... g_k of g_w, use
-  tr(x g_{n-1} y) = z tr(y x) with x, y one strand down, rewrite y x on terms
-  E_A g_v by the ties rules, and average over the framings c with block
-  sums s that sit on the least strand of each cycle of w.
+- otherwise take c = s_B on the least strand of each block B, split off the
+  factor g_{n-1} g_{n-2} ... g_k of g_w = x g_{n-1} y with x, y one strand
+  down, and write E_J = E_J' e_{j,last}, j the least strand of the last
+  strand's block; then tr(t^c E_J g_w) = z tr(t^c' E_A0 y x), where c' and
+  J' are moved through y and A0 ties x^-1(j) to the strand last - 1 (no tie
+  when they are one strand).  y x is rewritten from E_A0 on terms E_A g_v by
+  the ties rules, and each term is traced by its class key.
 
 A braid needs nothing of the framings beyond the E_A, so ``trace_of_braid``
 rewrites it letter by letter on terms E_A g_w of the algebra of braids and
@@ -25,7 +28,7 @@ ties (Aicardi-Juyumaya; basis {E_A g_w} by Ryom-Hansen), with integer
 Laurent coefficients and rules that do not depend on d
 (``yokonuma._tie_expansion``).  ``markov_trace`` of ``represent_braid``
 stays the element API; it traces a basis word t^a g_w with A in singletons.
-No trace forms a product of framed words.
+No trace forms a product of framed words or enumerates framings.
 
 At an E-system solution (d, S) a braid's trace depends only on k = |S mod d|, so
 ``trace_of_braid`` takes S and reads the trace over Q as the x-free part in
@@ -48,7 +51,6 @@ from .esystem import reduce_subset
 from .exactnum import LaurentU, PolyUZ, RatFunc, TracePolynomial, _monomial_shift, trace_poly_substitute
 from .yokonuma import (
     AlgebraElement,
-    _block_zero_framings,
     _join,
     _tie_expansion,
     canonical_reduced_word,
@@ -109,23 +111,20 @@ def _trace_word(d: int, key: tuple) -> tuple[int, tuple[tuple[tuple, int, int], 
     k = perm.index(last)
     u = tuple(perm[j if j < k else j + 1] for j in range(last))
     y = tuple(j if j < k else (last - 1 if j == k else j - 1) for j in range(last))
-    products = _tie_expansion(d, BraidWord(last, canonical_reduced_word(y) + canonical_reduced_word(u)))
-    # tr(t^c E_J g_w) is the mean of tr(t^c x g_{n-1} y) = z tr(y t^c x) over
-    # the framings c with block sums s on the least strand of each cycle,
-    # which the last strand is not; y t^c = t^c' y moves c_k to strand last - 1
-    cycles = _class_key(d, tuple(range(n)), perm, ())[0]
-    least = {cycles.index(c) for c in range(max(cycles) + 1)}
-    start = {blocks.index(b): s for b, s in enumerate(sums)}
-    classes: dict = {}
-    for fr in _block_zero_framings(d, tuple(blocks[j] if j in least else n + j for j in range(n))):
-        fr = [a + start.get(j, 0) for j, a in enumerate(fr)]
-        fr = fr[:k] + fr[k + 1 : last] + fr[k : k + 1]
-        for (tied, v), poly in products.items():
-            dst = classes.setdefault(_class_key(d, tied, v, fr), {})
-            for e, c in poly.items():
-                dst[e] = dst.get(e, 0) + c
-    den, acc = _trace_terms([(poly, _trace_word(d, class_key)) for class_key, poly in classes.items()])
-    den *= d ** (len(least) - len(sums))
+    # c = s_B on the least strand of each block B and E_J = E_J' e_{j,last}, j
+    # the least strand of the last strand's block: e_{j,last} x = x e_{j',last}
+    # for j' = u^-1(j), tr(x e_{j',last} g_{n-1} y) = z tr(y x e_{j',last-1}),
+    # and y t^c E_J' = t^c' E_{yJ'} y moves strand k to last - 1.  At d = 1
+    # every E_A is 1, and the ties rules keep A in singletons there
+    fr = [0] * n
+    for b, s in enumerate(sums):
+        fr[blocks.index(b)] = s
+    fr = fr[:k] + fr[k + 1 : last] + fr[k : k + 1]
+    labels: dict = {}
+    moved = tuple(labels.setdefault(b, len(labels)) for b in blocks[:k] + blocks[k + 1 : last] + blocks[k : k + 1])
+    start = _join(moved, u.index(blocks.index(blocks[last])), last - 1) if d > 1 else tuple(range(last))
+    products = _tie_expansion(d, BraidWord(last, canonical_reduced_word(y) + canonical_reduced_word(u)), start)
+    den, acc = _trace_terms([(poly, _trace_word(d, _class_key(d, tied, v, fr))) for (tied, v), poly in products.items()])
     return _lowest_terms(d, den, [((ze + 1, xe), e, c) for (ze, xe), poly in acc.items() for e, c in poly.items() if c])
 
 
@@ -190,7 +189,7 @@ def trace_of_braid(d: int, b: BraidWord, subset=None) -> "TracePolynomial | RatF
     ``markov_trace(represent_braid(d, b))`` with ``trace_poly_substitute``."""
     if subset is not None:
         return solution_value(len(reduce_subset(d, subset)), b)
-    return _trace_polynomial(d, *_trace_terms([(poly, _tie_trace(d, key)) for key, poly in _tie_expansion(d, b).items()]))
+    return _trace_polynomial(d, *_trace_terms([(poly, _tie_trace(d, key)) for key, poly in _tie_expansion(d, b, tuple(range(b.strands))).items()]))
 
 
 def solution_value(k: int, b: BraidWord, fold: int = 0, z_power: int = 0) -> RatFunc:
@@ -202,7 +201,7 @@ def solution_value(k: int, b: BraidWord, fold: int = 0, z_power: int = 0) -> Rat
     L = z - (1-u)/k, so the denominator is the monic u^a z^b L^c of
     ``RatFunc.make``'s canonical form.
     """
-    den, acc = _trace_terms([(poly, _tie_trace(k, key)) for key, poly in _tie_expansion(k, b).items()])
+    den, acc = _trace_terms([(poly, _tie_trace(k, key)) for key, poly in _tie_expansion(k, b, tuple(range(b.strands))).items()])
     num = {(e, ze): c for (ze, xe), poly in acc.items() if not any(xe) for e, c in poly.items() if c}
     if not num:
         return RatFunc(PolyUZ.zero(), PolyUZ.one())

@@ -41,7 +41,8 @@ rewritten on terms E_A g_w of the algebra of braids and ties, keyed
 (A, w) the same way, whose rules have integer coefficients and do not
 depend on d (``_tie_expansion``); so no division is left, and
 ``represent_braid`` expands the E_A g_w on t^a g_w.  The traces rewrite on
-these terms too, so ``_word_times_g`` serves ``multiply`` alone.
+these terms too, from one framing per class key, so ``_word_times_g`` serves
+``multiply`` alone and ``_block_zero_framings`` ``represent_braid`` alone.
 """
 
 from __future__ import annotations
@@ -506,7 +507,7 @@ def _block_zero_framings(d: int, blocks: tuple[int, ...]):
     """The framings a, as residues mod d, whose sum over every block of
     ``blocks`` is 0 mod d: E_A is d^-(n-|A|) times the sum of t^a over them.
     Every strand but the first of its block is free, and the first takes
-    minus their sum."""
+    minus their sum.  Only ``represent_braid`` enumerates them."""
     n = len(blocks)
     free = [(j, blocks.index(blocks[j])) for j in range(n) if blocks.index(blocks[j]) < j]
     for values in product(range(d), repeat=len(free)):
@@ -544,19 +545,19 @@ def _word_times_letter(key: tuple, letter: int, join: bool) -> tuple[tuple[tuple
     return tuple((k, e, c) for (k, e), c in acc.items() if c)
 
 
-def _tie_expansion(d: int, b: BraidWord) -> dict:
-    """The image of a braid in Y_{d,n} as {(A, w): {u-exponent: int}}, terms
-    E_A g_w with integer coefficients: A a set partition of the strands as
-    canonical block labels, and E_A the product of the e_{j,k} over pairs
-    j, k in one block.  It is rewritten letter by letter through
-    ``_word_times_letter``.  For d = 2, g_1^2 = 1 + (u-1) e_1 - (u-1) e_1 g_1:
+def _tie_expansion(d: int, b: BraidWord, start: tuple[int, ...]) -> dict:
+    """E_start times the image of a braid in Y_{d,n} (the image itself when
+    start is singletons) as {(A, w): {u-exponent: int}}, terms E_A g_w with
+    integer coefficients: A a set partition of the strands as canonical block
+    labels, and E_A the product of the e_{j,k} over pairs j, k in one block.
+    It is rewritten letter by letter through ``_word_times_letter``.  For
+    d = 2, g_1^2 = 1 + (u-1) e_1 - (u-1) e_1 g_1:
 
     >>> from .braid import parse_braid
-    >>> sorted(_tie_expansion(2, parse_braid("1 1")).items())
+    >>> sorted(_tie_expansion(2, parse_braid("1 1"), (0, 1)).items())
     [(((0, 0), (0, 1)), {1: 1, 0: -1}), (((0, 0), (1, 0)), {1: -1, 0: 1}), (((0, 1), (0, 1)), {0: 1})]
     """
-    n = b.strands
-    terms = {(tuple(range(n)), tuple(range(n))): {0: 1}}
+    terms = {(start, tuple(range(b.strands))): {0: 1}}
     for letter in b.letters:
         terms = _right_multiply(terms, _word_times_letter, letter, d > 1)
     return terms
@@ -581,7 +582,7 @@ def represent_braid(d: int, b: BraidWord) -> AlgebraElement:
     True
     """
     n = b.strands
-    terms = _tie_expansion(d, b)
+    terms = _tie_expansion(d, b, tuple(range(n)))
     top = max((n - len(set(blocks)) for blocks, _ in terms), default=0)
     out: _Scaled = {}
     for (blocks, w), poly in terms.items():

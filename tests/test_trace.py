@@ -298,9 +298,11 @@ def test_trace_of_rational_element_is_linear():
 
 # -- braid traces through E_A g_w terms -------------------------------------------
 
-def expansion_element(d: int, b: BraidWord) -> AlgebraElement:
+def expansion_element(d: int, b: BraidWord, start: tuple = ()) -> AlgebraElement:
+    """The expansion of E_start g_b on terms E_A g_w, summed in Y_{d,n};
+    start defaults to singletons, where it is the braid image."""
     acc = AlgebraElement.zero(d, b.strands)
-    for (blocks, perm), poly in _tie_expansion(d, b).items():
+    for (blocks, perm), poly in _tie_expansion(d, b, start or tuple(range(b.strands))).items():
         acc = acc + tie_element(d, blocks, perm).scale(LaurentU.from_ints(poly))
     return acc
 
@@ -326,10 +328,16 @@ def test_braid_trace_through_ties_equals_the_y_dn_oracle():
 
 @pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 3), (2, 4)])
 def test_tie_expansion_is_the_braid_image(d, n):
+    """From singletons the expansion is the braid image; from (A, id) it is
+    E_A times the image, for seeded partitions A (at d = 1 every E_A is 1)."""
     rng = random.Random(60 + 7 * d + n)
+    single = tuple(range(n))
     for _ in range(4):
         b = random_braid(rng, n, len_max=6, min_len=0)
-        assert expansion_element(d, b) == represent_braid(d, b), (d, b)
+        image = represent_braid(d, b)
+        assert expansion_element(d, b) == image, (d, b)
+        blocks = rng.choice(tie_keys(n))[0]
+        assert expansion_element(d, b, blocks) == multiply(tie_element(d, blocks, single), image), (d, b, blocks)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -338,14 +346,14 @@ def test_tie_rules_on_one_generator(d):
     for i in (1, 2):
         s_i = transposition_perm(n, i)
         for letters in ((i, -i), (-i, i)):
-            assert _tie_expansion(d, BraidWord(n, letters)) == {(single, single): {0: 1}}
+            assert _tie_expansion(d, BraidWord(n, letters), single) == {(single, single): {0: 1}}
         # g_i^2 = 1 + (u - 1) e_i - (u - 1) e_i g_i, and e_i = 1 at d = 1
         if d == 1:
             expected = {(single, single): {1: 1}, (single, s_i): {1: -1, 0: 1}}
         else:
             tied = _join(single, i - 1, i)
             expected = {(single, single): {0: 1}, (tied, single): {1: 1, 0: -1}, (tied, s_i): {1: -1, 0: 1}}
-        assert _tie_expansion(d, BraidWord(n, (i, i))) == expected
+        assert _tie_expansion(d, BraidWord(n, (i, i)), single) == expected
         assert expansion_element(d, BraidWord(n, (i, i))) == power_formula(d, n, i, 2)
 
 
@@ -472,3 +480,22 @@ def test_no_trace_forms_a_framed_product(monkeypatch):
     assert markov_trace(image) == trace_of_braid(3, b)
     assert not markov_trace(image).is_zero()
     assert not trace_of_braid(4, b, {0, 2}).is_zero()
+
+
+def test_no_trace_enumerates_framings(monkeypatch):
+    """A braid trace, generic or at a solution, and ``markov_trace`` of a
+    braid image never call ``yokonuma._block_zero_framings``: a class key is
+    traced from one framing, and the enumeration serves ``represent_braid``."""
+
+    def forbidden(*args):
+        raise AssertionError("a trace enumerated framings")
+
+    b = parse_braid("4: 1 -2 3 -1 2 -3 -2")
+    image = represent_braid(3, b)
+    expected = (markov_trace(image), trace_of_braid(4, b, {0, 2}))
+    yhecke.trace._trace_word.cache_clear()
+    for module in (yhecke.yokonuma, yhecke.trace):
+        monkeypatch.setattr(module, "_block_zero_framings", forbidden, raising=False)
+    assert (markov_trace(image), trace_of_braid(4, b, {0, 2})) == expected
+    yhecke.trace._trace_word.cache_clear()
+    assert trace_of_braid(3, b) == expected[0]
